@@ -24,6 +24,7 @@ package burst
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -162,7 +163,7 @@ func cut(s string, sep byte) (before, after string, found bool) {
 }
 
 // parseBytes parses "64M"-style sizes (K/M/G binary suffixes, plain digits
-// are bytes).
+// are bytes), rejecting sizes past int64.
 func parseBytes(s string) (int64, error) {
 	if s == "" {
 		return 0, fmt.Errorf("empty size")
@@ -185,7 +186,13 @@ func parseBytes(s string) (int64, error) {
 		if d < '0' || d > '9' {
 			return 0, fmt.Errorf("bad size %q", s)
 		}
+		if n > (math.MaxInt64-int64(d-'0'))/10 {
+			return 0, fmt.Errorf("size %q overflows", s)
+		}
 		n = n*10 + int64(d-'0')
+	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("size %q overflows", s)
 	}
 	return n * mult, nil
 }

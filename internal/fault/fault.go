@@ -304,8 +304,7 @@ func (inj *Injector) CrashedDuring(server int, from, to time.Duration) bool {
 
 // HasCrashWindows reports whether the schedule contains any crash windows
 // (including ones not yet begun). Layers use it to decide whether crash
-// bookkeeping is needed at all, keeping crash-free runs on the exact legacy
-// code path.
+// bookkeeping is needed at all, so crash-free runs pay for none of it.
 func (inj *Injector) HasCrashWindows() bool {
 	if inj == nil {
 		return false

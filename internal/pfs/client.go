@@ -64,15 +64,14 @@ func (c *Client) Open(p *sim.Proc, name string) int64 {
 // dead; it returns an error wrapping ErrRetriesExhausted only when every
 // replica of some needed stripe is down.
 func (c *Client) Read(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx) error {
-	_, err := c.transfer(p, name, extents, origin, rc, false)
-	return err
+	return c.transfer(p, name, extents, origin, rc, false)
 }
 
 // Write performs a list-I/O write; see Read. With replication the write
 // fans out to every live replica and completes at the write quorum;
 // replicas that missed it are noted for the online rebuild.
 func (c *Client) Write(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx) error {
-	if _, err := c.transfer(p, name, extents, origin, rc, true); err != nil {
+	if err := c.transfer(p, name, extents, origin, rc, true); err != nil {
 		return err
 	}
 	fsys := c.fsys
@@ -108,9 +107,9 @@ func (is *issued) finished() bool {
 	return false
 }
 
-// xferGroup is the per-primary-server unit of a replicated transfer: the
-// local extent list, one done signal shared by every replica attempt, and
-// the per-replica outstanding requests.
+// xferGroup is the per-primary-server unit of a transfer: the local extent
+// list, one done signal shared by every replica attempt, and the
+// per-replica outstanding requests.
 type xferGroup struct {
 	primary int
 	file    string
@@ -119,6 +118,19 @@ type xferGroup struct {
 	done    sim.Signal // shared by every replica attempt (see issueTo)
 	reps    []*issued
 	ver     int64
+}
+
+// settled reports whether every attempt of every replica has finished, so
+// no server queue or worker can still reference the group's requests.
+func (g *xferGroup) settled() bool {
+	for _, is := range g.reps {
+		for _, a := range is.attempts {
+			if !a.fin {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (g *xferGroup) winner() *issued {
@@ -130,157 +142,34 @@ func (g *xferGroup) winner() *issued {
 	return nil
 }
 
-func (c *Client) transfer(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx, write bool) ([]*xferGroup, error) {
-	fsys := c.fsys
-	if fsys.replicas() == 1 && !fsys.crashAware() {
-		c.legacyTransfer(p, name, extents, origin, rc, write)
-		return nil, nil
-	}
-	if write {
-		return nil, c.writeReplicated(p, name, extents, origin, rc)
-	}
-	return c.readFailover(p, name, extents, origin, rc)
-}
-
-// legacyTransfer is the pre-replication path, preserved verbatim: with
-// Replicas <= 1 and no crash windows the event timeline stays
-// byte-identical to earlier builds.
-//
-// It runs on pooled transfer records: requests, retry records, and the
-// per-server extent lists come from the FileSystem free lists and go back
-// once every request has finished. A request that was reissued may have a
-// duplicate attempt still being served; it (and the extent buffer its
-// attempts reference) is left to the garbage collector rather than risk a
-// live reference — the common no-retry op recycles everything.
-func (c *Client) legacyTransfer(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx, write bool) {
+// transfer is the one client data path for every replica count: it splits
+// the extents per server, runs the write quorum or failover read, and hands
+// the transfer's records back to the free lists (see putTransfer).
+func (c *Client) transfer(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx, write bool) error {
 	fsys := c.fsys
 	per := fsys.getSplitBuf()
 	fsys.splitInto(per, extents)
-	var reqsArr [32]*issued // escapes only past NumServers() > 32
-	reqs := reqsArr[:0]
-	// With the integrity tracker enabled, legacy writes get version stamps
-	// too, so the audit coherence oracle covers the single-replica path. The
-	// stamping itself adds no simulation events.
-	var ver int64
-	if write && fsys.tracker != nil {
-		fsys.verCounter++
-		ver = fsys.verCounter
+	var groupsArr [32]*xferGroup // escapes only past NumServers() > 32
+	var groups []*xferGroup
+	var err error
+	if write {
+		groups, err = c.writeReplicated(p, name, extents, per, groupsArr[:0], origin, rc)
+	} else {
+		groups, err = c.readFailover(p, name, per, groupsArr[:0], origin, rc)
 	}
-	for i, lst := range per {
-		if len(lst) == 0 {
-			continue
-		}
-		srv := fsys.servers[i]
-		req := fsys.getServerReq()
-		req.file = name
-		req.extents = lst
-		req.write = write
-		req.origin = origin
-		req.client = c.Node
-		req.rc = rc
-		req.ver = ver
-		req.done = &req.sig
-		msg := fsys.cfg.HeaderBytes + fsys.cfg.ExtentDescBytes*int64(len(lst))
-		if write {
-			msg += ext.Total(lst) // write payload travels with the request
-		}
-		fsys.net.SendTraced(p, c.Node, srv.Node, msg, rc)
-		req.enq = p.Now()
-		srv.queue.Put(req)
-		is := fsys.getIssued()
-		is.srv, is.msg = srv, msg
-		is.attempts = append(is.attempts, req)
-		reqs = append(reqs, is)
-	}
-	for _, is := range reqs {
-		c.await(p, is)
-	}
-	if ver != 0 {
-		fsys.tracker.recordExpected(name, extents, ver)
-	}
-	allDead := true
-	for _, is := range reqs {
-		if len(is.attempts) == 1 {
-			fsys.putServerReq(is.attempts[0])
-		} else {
-			// An abandoned duplicate may still be in a server queue or
-			// worker, referencing the request and its extent list.
-			allDead = false
-		}
-		fsys.putIssued(is)
-	}
-	if allDead {
-		fsys.putSplitBuf(per)
-	}
-}
-
-// await blocks until one attempt of the request finishes. With
-// RequestTimeout armed, an unanswered request is reissued after the
-// timeout with bounded exponential backoff; the abandoned original keeps
-// running server-side (duplicate service costs time, as real retries do)
-// and whichever attempt finishes first releases the client.
-func (c *Client) await(p *sim.Proc, is *issued) {
-	fsys := c.fsys
-	done := is.attempts[0].done
-	if fsys.cfg.RequestTimeout <= 0 {
-		for !is.finished() {
-			done.Wait(p)
-		}
-		return
-	}
-	timeout := fsys.cfg.RequestTimeout
-	backoff := fsys.cfg.RetryBackoff
-	for retry := 0; ; retry++ {
-		deadline := p.Now() + timeout
-		for !is.finished() && p.Now() < deadline {
-			done.WaitTimeout(p, deadline-p.Now())
-		}
-		if is.finished() {
-			return
-		}
-		if retry >= fsys.cfg.MaxRetries {
-			// Out of retries: the server is degraded, not gone. Wait it out
-			// rather than fail — the simulation has no error path to lose
-			// data into.
-			for !is.finished() {
-				done.Wait(p)
-			}
-			return
-		}
-		fsys.retries++
-		first := is.attempts[0]
-		fsys.obs.Instant("retry", fmt.Sprintf("client%d", c.Node), p.Now(),
-			obs.I64("server", int64(is.srv.Index)), obs.I64("attempt", int64(retry+1)),
-			obs.Str("file", first.file))
-		if backoff > 0 {
-			p.Sleep(backoff)
-			backoff *= 2
-		}
-		dup := &serverReq{
-			file:    first.file,
-			extents: first.extents,
-			write:   first.write,
-			origin:  first.origin,
-			client:  first.client,
-			done:    done,
-			rc:      first.rc,
-		}
-		fsys.net.SendTraced(p, c.Node, is.srv.Node, is.msg, first.rc)
-		dup.enq = p.Now()
-		is.srv.queue.Put(dup)
-		is.attempts = append(is.attempts, dup)
-		timeout *= 2
-	}
+	fsys.putTransfer(per, groups)
+	return err
 }
 
 // issueTo sends one replica attempt of the group to the given rank's
 // server. The message may vanish en route to a crashed server; the
 // attempt is still recorded (the client cannot know) and the watchdog or
 // view change recovers.
-func (c *Client) issueTo(p *sim.Proc, g *xferGroup, rank int, write bool, origin int, rc obs.Ctx) *issued {
+func (c *Client) issueTo(p *sim.Proc, g *xferGroup, rank int, write bool, origin int, rc obs.Ctx) {
 	fsys := c.fsys
 	srv := fsys.replicaServer(g.primary, rank)
-	req := &serverReq{
+	req := fsys.getServerReq()
+	*req = serverReq{
 		file:    replicaFile(g.file, rank),
 		extents: g.lst,
 		write:   write,
@@ -290,30 +179,25 @@ func (c *Client) issueTo(p *sim.Proc, g *xferGroup, rank int, write bool, origin
 		rc:      rc,
 		ver:     g.ver,
 	}
-	is := &issued{srv: srv, rank: rank, msg: g.msg, attempts: []*serverReq{req}}
+	is := fsys.getIssued()
+	is.srv, is.rank, is.msg = srv, rank, g.msg
+	is.attempts = append(is.attempts, req)
 	if fsys.net.SendLossy(p, c.Node, srv.Node, g.msg, rc) {
 		req.enq = p.Now()
 		srv.queue.Put(req)
 	}
 	g.reps = append(g.reps, is)
-	return is
 }
 
 // reissue duplicates an unanswered attempt to the same server (write
-// retries and single-replica read retries).
-func (c *Client) reissue(p *sim.Proc, g *xferGroup, is *issued, rc obs.Ctx) {
+// retries). The abandoned original keeps running server-side — duplicate
+// service costs time, as real retries do — and whichever attempt finishes
+// first counts.
+func (c *Client) reissue(p *sim.Proc, is *issued) {
 	fsys := c.fsys
 	first := is.attempts[0]
-	dup := &serverReq{
-		file:    first.file,
-		extents: first.extents,
-		write:   first.write,
-		origin:  first.origin,
-		client:  first.client,
-		done:    &g.done,
-		rc:      first.rc,
-		ver:     first.ver,
-	}
+	dup := fsys.getServerReq()
+	*dup = *first // first is unfinished, so the copy starts unfinished too
 	if fsys.net.SendLossy(p, c.Node, is.srv.Node, is.msg, first.rc) {
 		dup.enq = p.Now()
 		is.srv.queue.Put(dup)
@@ -346,27 +230,20 @@ func (c *Client) waitStep(p *sim.Proc, g *xferGroup, deadline time.Duration) {
 // group and blocks until the write quorum acknowledges. Replicas that are
 // down — at issue time or before acking — are recorded in the rebuild
 // ledger. It fails with ErrRetriesExhausted only when no replica of some
-// stripe group can take the write.
-func (c *Client) writeReplicated(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx) error {
+// stripe group can take the write. per is the split of extents; the groups
+// are appended to groups and returned (also on error) for putTransfer.
+func (c *Client) writeReplicated(p *sim.Proc, name string, extents []ext.Extent, per [][]ext.Extent, groups []*xferGroup, origin int, rc obs.Ctx) ([]*xferGroup, error) {
 	fsys := c.fsys
-	per := fsys.split(extents)
 	var ver int64
 	if fsys.tracker != nil {
 		fsys.verCounter++
 		ver = fsys.verCounter
 	}
-	var groups []*xferGroup
 	for i, lst := range per {
 		if len(lst) == 0 {
 			continue
 		}
-		g := &xferGroup{
-			primary: i,
-			file:    name,
-			lst:     lst,
-			msg:     fsys.cfg.HeaderBytes + fsys.cfg.ExtentDescBytes*int64(len(lst)) + ext.Total(lst),
-			ver:     ver,
-		}
+		g := fsys.getGroup(i, name, lst, fsys.cfg.HeaderBytes+fsys.cfg.ExtentDescBytes*int64(len(lst))+ext.Total(lst), ver)
 		for rank := 0; rank < fsys.replicas(); rank++ {
 			srv := fsys.replicaServer(i, rank)
 			if fsys.down[srv.Index] {
@@ -379,20 +256,20 @@ func (c *Client) writeReplicated(p *sim.Proc, name string, extents []ext.Extent,
 		groups = append(groups, g)
 	}
 	for _, g := range groups {
-		if err := c.awaitQuorum(p, g, rc); err != nil {
-			return err
+		if err := c.awaitQuorum(p, g); err != nil {
+			return groups, err
 		}
 	}
 	if fsys.tracker != nil {
 		fsys.tracker.recordExpected(name, extents, ver)
 	}
-	return nil
+	return groups, nil
 }
 
 // awaitQuorum blocks until enough replicas of one stripe group ack the
 // write: the configured quorum, shrunk to the number of issued replicas
 // still live (so a crash detected mid-wait unblocks the writer).
-func (c *Client) awaitQuorum(p *sim.Proc, g *xferGroup, rc obs.Ctx) error {
+func (c *Client) awaitQuorum(p *sim.Proc, g *xferGroup) error {
 	fsys := c.fsys
 	timeout := fsys.cfg.RequestTimeout
 	backoff := fsys.cfg.RetryBackoff
@@ -443,7 +320,7 @@ func (c *Client) awaitQuorum(p *sim.Proc, g *xferGroup, rc obs.Ctx) error {
 				fsys.obs.Instant("retry", fmt.Sprintf("client%d", c.Node), p.Now(),
 					obs.I64("server", int64(is.srv.Index)), obs.I64("attempt", int64(retry)),
 					obs.Str("file", g.file))
-				c.reissue(p, g, is, rc)
+				c.reissue(p, is)
 			}
 			if backoff > 0 {
 				p.Sleep(backoff)
@@ -459,27 +336,21 @@ func (c *Client) awaitQuorum(p *sim.Proc, g *xferGroup, rc obs.Ctx) error {
 
 // readFailover issues each stripe group's read to its preferred live
 // replica and fails over to the next replica when the watchdog fires or
-// the view declares the target dead.
-func (c *Client) readFailover(p *sim.Proc, name string, extents []ext.Extent, origin int, rc obs.Ctx) ([]*xferGroup, error) {
+// the view declares the target dead. per and groups are as for
+// writeReplicated.
+func (c *Client) readFailover(p *sim.Proc, name string, per [][]ext.Extent, groups []*xferGroup, origin int, rc obs.Ctx) ([]*xferGroup, error) {
 	fsys := c.fsys
-	per := fsys.split(extents)
-	var groups []*xferGroup
 	for i, lst := range per {
 		if len(lst) == 0 {
 			continue
 		}
-		g := &xferGroup{
-			primary: i,
-			file:    name,
-			lst:     lst,
-			msg:     fsys.cfg.HeaderBytes + fsys.cfg.ExtentDescBytes*int64(len(lst)),
-		}
+		g := fsys.getGroup(i, name, lst, fsys.cfg.HeaderBytes+fsys.cfg.ExtentDescBytes*int64(len(lst)), 0)
 		c.issueTo(p, g, fsys.preferredRank(i), false, origin, rc)
 		groups = append(groups, g)
 	}
 	for _, g := range groups {
 		if err := c.awaitRead(p, g, origin, rc); err != nil {
-			return nil, err
+			return groups, err
 		}
 	}
 	return groups, nil
@@ -561,7 +432,9 @@ func (c *Client) ReadVersions(p *sim.Proc, name string, extents []ext.Extent, or
 	if fsys.tracker == nil {
 		return nil, fmt.Errorf("pfs: ReadVersions without EnableIntegrity")
 	}
-	groups, err := c.readFailover(p, name, extents, origin, obs.Ctx{})
+	// Its own unpooled split and groups: the winners are read after the
+	// transfer, and nothing here is handed back to the free lists.
+	groups, err := c.readFailover(p, name, fsys.split(extents), nil, origin, obs.Ctx{})
 	if err != nil {
 		return nil, err
 	}

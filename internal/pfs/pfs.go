@@ -47,18 +47,19 @@ type Config struct {
 	// the client: a request not answered within the timeout is reissued to
 	// the server (the original is abandoned, not cancelled — exactly like a
 	// client retry against a stalled server). The timeout doubles per
-	// retry. Zero (the default) disables timeouts entirely, keeping the
-	// event timeline identical to builds without the fault layer.
+	// retry. Zero (the default) disables timeouts entirely: clients wait on
+	// completion alone.
 	RequestTimeout time.Duration
 	// MaxRetries bounds reissues per request; after the last retry the
 	// client waits indefinitely (progress over liveness guessing).
 	MaxRetries int
-	// RetryBackoff is slept before the first reissue and doubles with each
-	// subsequent one (bounded exponential backoff).
+	// RetryBackoff is slept at each retry and doubles with each subsequent
+	// one (bounded exponential backoff). A read sleeps before reissuing; a
+	// write reissues to every unacked replica first, then sleeps (DESIGN
+	// §10).
 	RetryBackoff time.Duration
 	// Replicas is the number of copies of every stripe (rack-aware chained
-	// placement; see DESIGN §10). 0 or 1 keeps today's unreplicated layout
-	// and its byte-identical event timeline.
+	// placement; see DESIGN §10). 0 or 1 means unreplicated.
 	Replicas int
 	// WriteQuorum is how many replica acknowledgments complete a write.
 	// 0 means majority: Replicas/2 + 1. A crashed replica detected down is
@@ -161,20 +162,33 @@ type FileSystem struct {
 	auditRebuild []int64
 
 	// Free lists for the per-operation transfer records. A steady-state
-	// client op on the legacy path then allocates nothing: requests, retry
+	// client op then allocates nothing: stripe groups, requests, retry
 	// records, and the per-server extent lists all cycle through these.
 	// Push/pop happens only between parks, so strict alternation is the
-	// lock. Recycling is conservative: a request that might still be
-	// referenced by an in-flight duplicate attempt is simply dropped to the
-	// garbage collector (see legacyTransfer).
+	// lock. Recycling is conservative (see putTransfer).
+	groupFree []*xferGroup
 	reqFree   []*serverReq
 	issFree   []*issued
 	splitFree [][][]ext.Extent
 }
 
+// getGroup pops a recycled stripe group (or allocates the pool's first)
+// for the given primary server's extent list, request size and write
+// version. Its done signal keeps its waiter-list capacity across reuses,
+// so re-arming a wait on it allocates nothing either.
+func (fsys *FileSystem) getGroup(primary int, file string, lst []ext.Extent, msg, ver int64) *xferGroup {
+	var g *xferGroup
+	if n := len(fsys.groupFree); n > 0 {
+		g = fsys.groupFree[n-1]
+		fsys.groupFree = fsys.groupFree[:n-1]
+	} else {
+		g = &xferGroup{}
+	}
+	g.primary, g.file, g.lst, g.msg, g.ver = primary, file, lst, msg, ver
+	return g
+}
+
 // getServerReq pops a recycled request (or allocates the pool's first).
-// The embedded completion signal keeps its waiter-list capacity across
-// reuses, so re-arming a wait on it allocates nothing either.
 func (fsys *FileSystem) getServerReq() *serverReq {
 	if n := len(fsys.reqFree); n > 0 {
 		r := fsys.reqFree[n-1]
@@ -184,16 +198,7 @@ func (fsys *FileSystem) getServerReq() *serverReq {
 	return &serverReq{}
 }
 
-// putServerReq recycles a finished request. The caller must guarantee no
-// other reference survives (no duplicate attempt in flight, completion
-// signal drained).
-func (fsys *FileSystem) putServerReq(r *serverReq) {
-	sig := r.sig // keep the waiter list's backing array
-	*r = serverReq{sig: sig}
-	fsys.reqFree = append(fsys.reqFree, r)
-}
-
-// getIssued / putIssued recycle retry records; the attempts slice keeps its
+// getIssued pops a recycled retry record; its attempts slice keeps its
 // capacity across reuses.
 func (fsys *FileSystem) getIssued() *issued {
 	if n := len(fsys.issFree); n > 0 {
@@ -204,16 +209,9 @@ func (fsys *FileSystem) getIssued() *issued {
 	return &issued{}
 }
 
-func (fsys *FileSystem) putIssued(is *issued) {
-	attempts := is.attempts[:0]
-	*is = issued{attempts: attempts}
-	fsys.issFree = append(fsys.issFree, is)
-}
-
 // getSplitBuf checks out a per-server extent-list buffer for splitInto.
-// Concurrent transfers each hold their own buffer until their requests are
-// dead, then return it with putSplitBuf; the per-server sub-slices keep
-// their capacity across reuses.
+// Concurrent transfers each hold their own buffer until putTransfer; the
+// per-server sub-slices keep their capacity across reuses.
 func (fsys *FileSystem) getSplitBuf() [][]ext.Extent {
 	if n := len(fsys.splitFree); n > 0 {
 		b := fsys.splitFree[n-1]
@@ -223,11 +221,36 @@ func (fsys *FileSystem) getSplitBuf() [][]ext.Extent {
 	return make([][]ext.Extent, fsys.NumServers())
 }
 
-func (fsys *FileSystem) putSplitBuf(b [][]ext.Extent) {
-	for i := range b {
-		b[i] = b[i][:0]
+// putTransfer recycles a finished transfer's groups, requests, retry
+// records and split buffer — but only when every attempt of every group
+// has finished. An unfinished attempt (an abandoned duplicate, a replica
+// write still in flight after the quorum, a message lost to a crash) may
+// still sit in a server queue or worker, referencing its request, the
+// group's done signal and the extent buffer; the whole transfer is then
+// left to the garbage collector. The common no-retry op recycles
+// everything.
+func (fsys *FileSystem) putTransfer(per [][]ext.Extent, groups []*xferGroup) {
+	for _, g := range groups {
+		if !g.settled() {
+			return
+		}
 	}
-	fsys.splitFree = append(fsys.splitFree, b)
+	for _, g := range groups {
+		for _, is := range g.reps {
+			for _, r := range is.attempts {
+				*r = serverReq{}
+				fsys.reqFree = append(fsys.reqFree, r)
+			}
+			*is = issued{attempts: is.attempts[:0]}
+			fsys.issFree = append(fsys.issFree, is)
+		}
+		*g = xferGroup{done: g.done, reps: g.reps[:0]}
+		fsys.groupFree = append(fsys.groupFree, g)
+	}
+	for i := range per {
+		per[i] = per[i][:0]
+	}
+	fsys.splitFree = append(fsys.splitFree, per)
 }
 
 // Server is one data server.
@@ -252,8 +275,7 @@ type serverReq struct {
 	write   bool
 	origin  int
 	client  int         // requesting network node
-	done    *sim.Signal // completion signal; replica attempts share the group's
-	sig     sim.Signal  // backing storage for done on the single-attempt path
+	done    *sim.Signal // the group's completion signal, shared by its attempts
 	fin     bool
 	rc      obs.Ctx       // originating traced request
 	enq     time.Duration // enqueue time (queue-wait annotation)

@@ -7,6 +7,7 @@ import (
 
 	"dualpar/internal/disk"
 	"dualpar/internal/ext"
+	"dualpar/internal/fault"
 	"dualpar/internal/fs"
 	"dualpar/internal/iosched"
 	"dualpar/internal/netsim"
@@ -17,6 +18,11 @@ import (
 // testFS builds a kernel + network + file system with nservers data servers
 // on nodes 1..nservers, metadata on node 0, clients on nodes 100+.
 func testFS(nservers int) (*sim.Kernel, *FileSystem) {
+	return testFSConfig(nservers, DefaultConfig())
+}
+
+// testFSConfig is testFS with an explicit file-system configuration.
+func testFSConfig(nservers int, cfg Config) (*sim.Kernel, *FileSystem) {
 	k := sim.NewKernel(1)
 	net := netsim.New(k, netsim.DefaultConfig())
 	var nodes []int
@@ -28,7 +34,7 @@ func testFS(nservers int) (*sim.Kernel, *FileSystem) {
 		nodes = append(nodes, 1+i)
 		stores = append(stores, st)
 	}
-	return k, New(k, net, DefaultConfig(), 0, nodes, stores)
+	return k, New(k, net, cfg, 0, nodes, stores)
 }
 
 func TestSplitRoundRobinStriping(t *testing.T) {
@@ -221,5 +227,95 @@ func TestValidateConfig(t *testing.T) {
 		if c.Validate() == nil {
 			t.Fatalf("case %d passed", i)
 		}
+	}
+}
+
+// retryRun performs one traced R=1 transfer of a full stripe row while
+// server 1 stalls for the first 60 ms under a 10 ms watchdog with 4 ms
+// backoff and two retries. It returns the retry instants, the client's
+// sends to server 1 (the original and each duplicate), and when the
+// transfer returned.
+func retryRun(t *testing.T, write bool) (retries []time.Duration, sends []obs.Span, done time.Duration) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.RequestTimeout = 10 * time.Millisecond
+	cfg.RetryBackoff = 4 * time.Millisecond
+	cfg.MaxRetries = 2
+	k, fsys := testFSConfig(3, cfg)
+	c := obs.NewCollector()
+	fsys.SetObs(c)
+	fsysNet(fsys).SetObs(c)
+	fsys.SetFaults(fault.NewInjector(k, &fault.Schedule{Windows: []fault.Window{
+		{Kind: fault.ServerStall, Target: 1, Start: 0, End: 60 * time.Millisecond},
+	}}, 1, c))
+	row := 3 * fsys.cfg.StripeUnit
+	cl := fsys.Client(100)
+	k.Spawn("client", func(p *sim.Proc) {
+		cl.Create(p, "f", row)
+		rc := c.StartRequest("client")
+		var err error
+		if write {
+			err = cl.Write(p, "f", []ext.Extent{{Len: row}}, 1, rc)
+		} else {
+			err = cl.Read(p, "f", []ext.Extent{{Len: row}}, 1, rc)
+		}
+		if err != nil {
+			t.Errorf("transfer: %v", err)
+		}
+		done = p.Now()
+	})
+	k.Run()
+	for _, in := range c.Instants() {
+		if in.Name == "retry" {
+			retries = append(retries, in.At)
+		}
+	}
+	to := obs.I64("to", int64(fsys.servers[1].Node))
+	for _, s := range c.Spans() {
+		for _, a := range s.Args {
+			if s.Stage == obs.StageNet && a == to {
+				sends = append(sends, s)
+			}
+		}
+	}
+	if len(retries) != 2 || len(sends) != 3 {
+		t.Fatalf("write=%v: %d retries and %d sends to the stalled server, want 2 and 3", write, len(retries), len(sends))
+	}
+	return retries, sends, done
+}
+
+// TestRetryOrderR1 pins the watchdog's two retry orders on the unreplicated
+// path. A write (awaitQuorum) reissues to the stalled server at the retry
+// instant and then sleeps RetryBackoff; a read (awaitRead) sleeps first and
+// then reissues. Both arm the next, doubled deadline after the send and the
+// sleep, and both complete only when the stall lifts and the original
+// request is served.
+func TestRetryOrderR1(t *testing.T) {
+	const backoff, timeout = 4 * time.Millisecond, 10 * time.Millisecond
+
+	retries, sends, done := retryRun(t, true)
+	for i, r := range retries {
+		if sends[i+1].Start != r {
+			t.Errorf("write retry %d at %v: duplicate sent at %v, want at the retry instant", i+1, r, sends[i+1].Start)
+		}
+	}
+	if want := sends[1].End + backoff + 2*timeout; retries[1] != want {
+		t.Errorf("write retry 2 at %v, want send end + backoff + 2*timeout = %v", retries[1], want)
+	}
+	if retries[0] != 15186695 || done != 64210856 {
+		t.Errorf("write: first retry %v, done %v; pinned 15.186695ms, 64.210856ms", retries[0], done)
+	}
+
+	retries, sends, done = retryRun(t, false)
+	for i, r := range retries {
+		if want := r + backoff<<i; sends[i+1].Start != want {
+			t.Errorf("read retry %d at %v: duplicate sent at %v, want after the backoff at %v", i+1, r, sends[i+1].Start, want)
+		}
+	}
+	if want := sends[1].End + 2*timeout; retries[1] != want {
+		t.Errorf("read retry 2 at %v, want send end + 2*timeout = %v", retries[1], want)
+	}
+	if retries[0] != 15186694 || done != 60725593 {
+		t.Errorf("read: first retry %v, done %v; pinned 15.186694ms, 60.725593ms", retries[0], done)
 	}
 }

@@ -6,11 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"dualpar/internal/disk"
 	"dualpar/internal/ext"
-	"dualpar/internal/fs"
-	"dualpar/internal/iosched"
-	"dualpar/internal/netsim"
 	"dualpar/internal/obs"
 	"dualpar/internal/sim"
 )
@@ -157,20 +153,9 @@ func TestCoalesceSegsMergesEqualRuns(t *testing.T) {
 
 // testReplicatedFS is testFS with a replica count.
 func testReplicatedFS(nservers, replicas int) (*sim.Kernel, *FileSystem) {
-	k := sim.NewKernel(1)
-	net := netsim.New(k, netsim.DefaultConfig())
-	var nodes []int
-	var stores []*fs.Store
-	for i := 0; i < nservers; i++ {
-		p := disk.DefaultParams()
-		p.Sectors = 1 << 24
-		st := fs.New(k, fmt.Sprintf("s%d", i), disk.New(p), iosched.NewCFQ(), fs.DefaultConfig(), 10000+i)
-		nodes = append(nodes, 1+i)
-		stores = append(stores, st)
-	}
 	cfg := DefaultConfig()
 	cfg.Replicas = replicas
-	return k, New(k, net, cfg, 0, nodes, stores)
+	return testFSConfig(nservers, cfg)
 }
 
 func TestReplicatedWriteStampsEveryReplica(t *testing.T) {
