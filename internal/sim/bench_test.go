@@ -40,6 +40,48 @@ func BenchmarkKernelSleepWake(b *testing.B) {
 	k.Run()
 }
 
+// BenchmarkKernelHandoff measures the Proc switch itself: two Procs
+// ping-pong one value through a pair of Queues, so every op is two parks
+// and two wakes with nothing else in the event queue to amortize them.
+func BenchmarkKernelHandoff(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel(1)
+	ping, pong := NewQueue[int](k), NewQueue[int](k)
+	k.Spawn("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Put(i)
+			if v := pong.Get(p); v != i {
+				b.Errorf("round %d: got %d back", i, v)
+				return
+			}
+		}
+	})
+	k.Spawn("pong", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Put(ping.Get(p))
+		}
+	})
+	k.Run()
+}
+
+// BenchmarkKernelSpawn measures a Proc's whole life: spawn, start and
+// finish. Only allocs/op is reported, since each op creates and frees a
+// coroutine and its wall time is dominated by the runtime's goroutine
+// bookkeeping rather than the kernel.
+func BenchmarkKernelSpawn(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel(1)
+	fn := func(p *Proc) {}
+	for i := 0; i < b.N; i++ {
+		k.Spawn("p", fn)
+		k.Run()
+	}
+	if k.Live() != 0 {
+		b.Fatalf("live = %d after the last run, want 0", k.Live())
+	}
+	b.ReportMetric(0, "ns/op")
+}
+
 func BenchmarkKernelSignalBroadcast(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel(1)

@@ -4,10 +4,11 @@
 // A Kernel advances a virtual clock by executing events in (time, sequence)
 // order. Simulated activities are written as ordinary Go functions running in
 // Procs; a Proc blocks in virtual time with Sleep, Signal.Wait, Queue.Get,
-// or Resource.Acquire. Although each Proc runs on its own goroutine, the
-// kernel enforces strict alternation — exactly one Proc (or the kernel
-// itself) executes at any instant — so simulations are fully deterministic:
-// the same program and seed yield the same event order and results.
+// or Resource.Acquire. Each Proc is a coroutine that only the kernel
+// resumes, and it runs until it parks again, so exactly one Proc (or the
+// kernel itself) executes at any instant and simulations are fully
+// deterministic: the same program and seed yield the same event order and
+// results.
 package sim
 
 import (
@@ -77,9 +78,7 @@ type Kernel struct {
 	// since Procs only execute inside the event loop).
 	deadline time.Duration
 
-	parked  chan struct{} // handshake: running Proc yields control back
-	failure *procPanic    // first panic raised inside a Proc
-	nprocs  int           // live (spawned, not yet finished) procs
+	nprocs  int // live (spawned, not yet finished) procs
 	stopped bool
 	rng     *rand.Rand
 	audit   check.Ledger // nil unless a run auditor is attached
@@ -90,18 +89,11 @@ type Kernel struct {
 // one pointer comparison per park and keeps the hot paths allocation-free.
 func (k *Kernel) SetAudit(l check.Ledger) { k.audit = l }
 
-// procPanic carries a panic out of a Proc goroutine into Run.
-type procPanic struct {
-	proc  string
-	value interface{}
-}
-
 // NewKernel returns a kernel with its clock at zero and a deterministic
 // random source derived from seed.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
 		deadline: -1,
-		parked:   make(chan struct{}),
 		rng:      rand.New(rand.NewSource(seed)),
 	}
 }
@@ -232,6 +224,13 @@ func (k *Kernel) RunUntil(deadline time.Duration) {
 				break
 			}
 			k.fifoHead++
+			if k.fifoHead == len(k.fifo) {
+				// Batch drained: reuse the backing array, so an endless
+				// same-instant chain (two Procs handing off without
+				// advancing the clock) cannot grow the FIFO.
+				k.fifo = k.fifo[:0]
+				k.fifoHead = 0
+			}
 		} else {
 			if k.fifoHead > 0 {
 				k.fifo = k.fifo[:0]
@@ -251,11 +250,6 @@ func (k *Kernel) RunUntil(deadline time.Duration) {
 		k.pending--
 		k.freeSlot(idx) // recycle before running: fn's own schedules reuse it
 		fn()
-		if k.failure != nil {
-			f := k.failure
-			k.failure = nil
-			panic(fmt.Sprintf("sim: proc %q panicked: %v", f.proc, f.value))
-		}
 	}
 	if deadline >= 0 && k.now < deadline && !k.stopped {
 		k.now = deadline

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -139,18 +141,123 @@ func TestEvery(t *testing.T) {
 	}
 }
 
+// TestProcPanicPropagates pins how a panic leaves a Proc: it surfaces from
+// Run re-raised with the Proc's name and the original value, whether the
+// Proc was spawned before Run or by another Proc, and whether it parked last
+// in Sleep or in Signal.Wait.
 func TestProcPanicPropagates(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(k *Kernel)
+		want  string
+	}{
+		{
+			name: "after sleep",
+			setup: func(k *Kernel) {
+				k.Spawn("bad", func(p *Proc) {
+					p.Sleep(time.Millisecond)
+					panic("boom")
+				})
+			},
+			want: `sim: proc "bad" panicked: boom`,
+		},
+		{
+			name: "spawned by a proc",
+			setup: func(k *Kernel) {
+				k.Spawn("parent", func(p *Proc) {
+					p.Sleep(time.Millisecond)
+					k.Spawn("child", func(c *Proc) {
+						c.Sleep(time.Millisecond)
+						panic(fmt.Errorf("child failed at %v", c.Now()))
+					})
+					p.Sleep(time.Second)
+				})
+			},
+			want: `sim: proc "child" panicked: child failed at 2ms`,
+		},
+		{
+			name: "after signal wait",
+			setup: func(k *Kernel) {
+				s := k.NewSignal()
+				k.Spawn("waiter", func(p *Proc) {
+					s.Wait(p)
+					panic(42)
+				})
+				k.Spawn("waker", func(p *Proc) {
+					p.Sleep(time.Millisecond)
+					s.Broadcast()
+					p.Sleep(time.Second)
+				})
+			},
+			want: `sim: proc "waiter" panicked: 42`,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel(1)
+			tc.setup(k)
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("expected panic from Run")
+				}
+				if got, ok := r.(string); !ok || got != tc.want {
+					t.Fatalf("recovered %#v, want %q", r, tc.want)
+				}
+			}()
+			k.Run()
+		})
+	}
+}
+
+// TestSpawnIsLazy pins that a spawned Proc costs no goroutine until its
+// start event runs: daemons spawned while a cluster is built stay cheap
+// until the simulation starts. The goroutine counts below allow for an
+// earlier test's goroutine exiting meanwhile (a subtest's runner may still
+// be unwinding), so they fail only on an increase.
+func TestSpawnIsLazy(t *testing.T) {
 	k := NewKernel(1)
-	k.Spawn("bad", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		panic("boom")
-	})
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatalf("expected panic from Run")
-		}
-	}()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		k.Spawn("p", func(p *Proc) { p.Sleep(time.Millisecond) })
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("1000 Spawns before Run raised the goroutine count %d -> %d", before, n)
+	}
 	k.Run()
+	if k.Live() != 0 {
+		t.Fatalf("live = %d after run, want 0", k.Live())
+	}
+}
+
+// TestFinishedProcsReleaseCoroutines pins that a Proc's coroutine exists
+// only while the Proc is live: every parked Proc holds one, and once every
+// Proc has returned the goroutine count is back at its baseline.
+func TestFinishedProcsReleaseCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	s := k.NewSignal()
+	const waiters = 100
+	for i := 0; i < waiters; i++ {
+		k.Spawn("waiter", func(p *Proc) {
+			s.Wait(p)
+			p.Sleep(time.Millisecond)
+		})
+	}
+	k.Spawn("waker", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		if n := runtime.NumGoroutine(); n < before+waiters {
+			t.Errorf("goroutines mid-run = %d, want at least %d (one per live Proc)", n, before+waiters)
+		}
+		s.Broadcast()
+	})
+	k.Run()
+	if k.Live() != 0 {
+		t.Fatalf("live = %d after run, want 0", k.Live())
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines after run = %d, above the baseline %d", n, before)
+	}
 }
 
 func TestLiveCount(t *testing.T) {

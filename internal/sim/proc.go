@@ -1,17 +1,21 @@
 package sim
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
-// A Proc is a simulated process: a goroutine whose execution is interleaved
+// A Proc is a simulated process: a coroutine whose execution is interleaved
 // with virtual time under kernel control. Proc methods must only be called
-// from the Proc's own goroutine (the function passed to Spawn).
+// from inside the Proc (the function passed to Spawn).
 type Proc struct {
 	k       *Kernel
 	name    string
-	resume  chan struct{}
-	wake    func() // pre-built resume event callback, shared by every wakeAt
-	timerFn func() // pre-built WaitTimeout expiry callback, shared by every timed wait
-	w       waiter // reusable Signal wait record (a Proc waits on one thing at a time)
+	next    func() (struct{}, bool) // resumes the coroutine until it parks or returns
+	yield   func(struct{}) bool     // parks the coroutine, returning control to next's caller
+	wake    func()                  // pre-built resume event callback, shared by every wakeAt
+	timerFn func()                  // pre-built WaitTimeout expiry callback, shared by every timed wait
+	w       waiter                  // reusable Signal wait record (a Proc waits on one thing at a time)
 
 	lastNow time.Duration // audit only: virtual time observed at the last resume
 }
@@ -25,11 +29,8 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 
 // SpawnAt creates a Proc that starts at absolute virtual time at.
 func (k *Kernel) SpawnAt(at time.Duration, name string, fn func(*Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
-	p.wake = func() {
-		p.resume <- struct{}{}
-		<-p.k.parked
-	}
+	p := &Proc{k: k, name: name}
+	p.wake = func() { p.next() }
 	p.timerFn = func() {
 		// Expiry of the one timed wait this Proc can have outstanding. A
 		// stale firing (the wait already ended, w may be serving a later
@@ -46,20 +47,18 @@ func (k *Kernel) SpawnAt(at time.Duration, name string, fn func(*Proc)) *Proc {
 	p.w.p = p
 	p.w.timer = noEvent
 	k.nprocs++
-	k.schedule(at, func() {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil && k.failure == nil {
-					k.failure = &procPanic{proc: p.name, value: r}
-				}
-				k.nprocs--
-				k.parked <- struct{}{} // hand control back to the kernel
-			}()
-			fn(p)
-		}()
-		<-k.parked
-	})
+	k.schedule(at, func() { p.start(fn) })
 	return p
+}
+
+// exit runs as the Proc's coroutine unwinds. A panic inside the Proc is
+// re-raised naming the Proc; the coroutine carries it out through next, so
+// it surfaces from the kernel event that resumed the Proc and out of Run.
+func (p *Proc) exit() {
+	p.k.nprocs--
+	if r := recover(); r != nil {
+		panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, r))
+	}
 }
 
 // Name returns the Proc's name.
@@ -74,8 +73,7 @@ func (p *Proc) Now() time.Duration { return p.k.now }
 // park hands control to the kernel and blocks until resumed by a scheduled
 // wake event.
 func (p *Proc) park() {
-	p.k.parked <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.k.audit != nil {
 		p.k.audit.Checkf(p.k.now >= p.lastNow, "sim.proc.monotone",
 			"proc %s resumed at %v after observing %v", p.name, p.k.now, p.lastNow)
@@ -97,8 +95,8 @@ func (p *Proc) wakeAt(at time.Duration) {
 // than the wake would be, the RunUntil deadline is not in between, and
 // Stop has not been called — handing control to the kernel would only pop
 // this Proc's own wake event straight back. In that case the Proc advances
-// the clock in place and keeps running, skipping the two goroutine
-// switches of the park/resume handshake. The event timeline is identical:
+// the clock in place and keeps running, skipping the two coroutine
+// switches of the park/resume hand-off. The event timeline is identical:
 // by construction no event exists in the skipped window, and relative
 // schedule order (which decides same-instant ties) is unchanged.
 func (p *Proc) Sleep(d time.Duration) {

@@ -53,6 +53,34 @@ func TestQueueRingCapacityBounded(t *testing.T) {
 	}
 }
 
+// TestFIFOBoundedUnderSameInstantChain pins the FIFO rewind: two Procs
+// handing a value back and forth without advancing the clock never let the
+// same-instant FIFO run dry at the top of the run loop, and without the
+// rewind on its last pop the FIFO kept every index it had ever held.
+func TestFIFOBoundedUnderSameInstantChain(t *testing.T) {
+	k := NewKernel(1)
+	ping, pong := NewQueue[int](k), NewQueue[int](k)
+	const rounds = 100000
+	k.Spawn("ping", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			ping.Put(i)
+			pong.Get(p)
+		}
+	})
+	k.Spawn("pong", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			pong.Put(ping.Get(p))
+		}
+	})
+	k.Run()
+	if k.Now() != 0 {
+		t.Fatalf("clock = %v, want the whole chain at instant 0", k.Now())
+	}
+	if c := cap(k.fifo); c > 8 {
+		t.Fatalf("FIFO capacity = %d after %d same-instant hand-offs, want <= 8", c, rounds)
+	}
+}
+
 // TestWaitTimeoutCancelsDeadTimer pins the dead-timer fix: a WaitTimeout
 // won by an early Broadcast must cancel its expiry event instead of leaving
 // it queued until it fires as a no-op (watchdog-heavy runs carried armies
