@@ -5,8 +5,13 @@
 // Usage:
 //
 //	experiments [-run all|fig1a|fig1b|fig1cd|fig3|fig4|fig5|table2|fig6|fig7|fig8|table3|straggler|engines|...]
-//	            [-quick] [-seed N] [-out DIR] [-q] [-parallel N] [-report]
+//	            [-quick] [-seed N] [-out DIR] [-q] [-parallel N] [-audit] [-report]
 //	            [-engine extent|bptree|lsm] [-cpuprofile FILE] [-memprofile FILE]
+//
+// Every flag that shapes the runs travels in one harness.Opts: -quick,
+// -seed, -parallel, -engine (checked by fs.Config.Validate; a bad name
+// exits 2), -audit (arm the invariant oracles on every run) and -report
+// (a harness.ReportSink drained after the tables).
 //
 // Sweeps run across GOMAXPROCS workers by default; -parallel 1 falls back to
 // the serial path. Output tables are byte-identical either way (the sweep
@@ -112,26 +117,22 @@ func main() {
 		}()
 	}
 
-	validEngine := *engine == ""
-	for _, e := range fs.Engines() {
-		if *engine == e {
-			validEngine = true
-		}
-	}
-	if !validEngine {
-		fmt.Fprintf(os.Stderr, "unknown engine %q; known: %s\n", *engine, strings.Join(fs.Engines(), " "))
+	fsCfg := fs.DefaultConfig()
+	fsCfg.Engine = *engine
+	if err := fsCfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	harness.SetAudit(*audit)
-	harness.SetReport(*report)
-	harness.SetEngine(*engine)
 
 	var log io.Writer = os.Stderr
 	if *quiet {
 		log = nil
 	}
-	opts := harness.Opts{Quick: *quick, Seed: *seed, Log: log, Parallel: *parallel}
+	opts := harness.Opts{Quick: *quick, Seed: *seed, Log: log, Parallel: *parallel,
+		Engine: *engine, Audit: *audit}
+	if *report {
+		opts.Reports = &harness.ReportSink{}
+	}
 
 	var ids []string
 	if *run == "all" {
@@ -182,7 +183,7 @@ func main() {
 	if *report {
 		// Reports drain sorted by run key, so this section is byte-identical
 		// at any -parallel setting.
-		for _, rr := range harness.DrainReports() {
+		for _, rr := range opts.Reports.Drain() {
 			fmt.Printf("== report: %s ==\n", rr.Key)
 			if err := rr.Report.RenderText(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, err)

@@ -80,18 +80,14 @@ func (c Config) WithSeed(seed int64) Config {
 }
 
 // WithScheduler returns the config using the named disk scheduler on every
-// data server: "cfq" (default), "deadline", "noop", or "anticipatory".
+// data server: "cfq" (default), "deadline", "noop", or "anticipatory". It
+// panics on an unknown name (a configuration bug).
 func (c Config) WithScheduler(name string) Config {
-	switch name {
-	case "deadline":
-		c.Cluster.NewScheduler = func() iosched.Algorithm { return iosched.NewDeadline() }
-	case "noop":
-		c.Cluster.NewScheduler = func() iosched.Algorithm { return iosched.NewNOOP() }
-	case "anticipatory":
-		c.Cluster.NewScheduler = func() iosched.Algorithm { return iosched.NewAnticipatory() }
-	default:
-		c.Cluster.NewScheduler = nil // CFQ
+	mk, err := iosched.ByName(name)
+	if err != nil {
+		panic(err)
 	}
+	c.Cluster.NewScheduler = mk
 	return c
 }
 
@@ -119,12 +115,7 @@ func (c Config) WithFaults(spec string) Config {
 		panic(err)
 	}
 	c.Cluster.Faults = sch
-	c.Cluster.PFS.RequestTimeout = 250 * time.Millisecond
-	c.Cluster.PFS.MaxRetries = 4
-	c.Cluster.PFS.RetryBackoff = 20 * time.Millisecond
-	c.Core.CRMTimeout = 2 * time.Second
-	c.Core.CRMMaxRetries = 3
-	c.Core.CRMBackoff = 50 * time.Millisecond
+	core.ArmFaultWatchdogs(&c.Cluster, &c.Core)
 	return c
 }
 

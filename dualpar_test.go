@@ -62,6 +62,17 @@ func TestFacadeConfigKnobs(t *testing.T) {
 	}
 }
 
+// TestFacadeUnknownSchedulerPanics pins that a misspelled scheduler name is
+// a configuration error, not a silent fallback to CFQ.
+func TestFacadeUnknownSchedulerPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("WithScheduler(\"dedline\") did not panic")
+		}
+	}()
+	dualpar.Defaults().WithScheduler("dedline")
+}
+
 func TestFacadeSSDAndAnticipatory(t *testing.T) {
 	cfg := dualpar.Defaults().WithSSD().WithScheduler("anticipatory")
 	sim := dualpar.NewSimulation(cfg)

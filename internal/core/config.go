@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"time"
 
+	"dualpar/internal/cluster"
 	"dualpar/internal/memcache"
 )
 
@@ -126,6 +127,20 @@ func DefaultConfig() Config {
 		Strategy2WindowBytes: 512 << 10,
 		Memcache:             memcache.DefaultConfig(),
 	}
+}
+
+// ArmFaultWatchdogs arms the retry watchdogs a faulted run needs at both
+// layers, so degraded runs make progress instead of pinning on a
+// straggler: fine-grained request timeouts in the PFS client, and the
+// coarser per-batch CRM watchdog above them (its timeout sits well above
+// the client's, so the layers escalate rather than race).
+func ArmFaultWatchdogs(cc *cluster.Config, c *Config) {
+	cc.PFS.RequestTimeout = 250 * time.Millisecond
+	cc.PFS.MaxRetries = 4
+	cc.PFS.RetryBackoff = 20 * time.Millisecond
+	c.CRMTimeout = 2 * time.Second
+	c.CRMMaxRetries = 3
+	c.CRMBackoff = 50 * time.Millisecond
 }
 
 // Validate reports configuration errors.

@@ -129,22 +129,16 @@ func availReader(quick bool) workloads.Demo {
 
 // executeAvail runs specs on a cluster with replication, crash-fault
 // watchdogs, and the integrity tracker armed.
-func executeAvail(seed int64, maxTime time.Duration, replicas int, sch *fault.Schedule, specs []runSpec) ([]measured, *cluster.Cluster) {
-	cfg := baseConfig()
-	cfg.Seed = seed
+func (o Opts) executeAvail(maxTime time.Duration, replicas int, sch *fault.Schedule, specs []runSpec) ([]measured, *cluster.Cluster) {
+	cfg := o.clusterConfig()
 	cfg.Faults = sch
 	cfg.PFS.Replicas = replicas
 	cfg.PFS.DetectDelay = 100 * time.Millisecond
-	cfg.PFS.RequestTimeout = 250 * time.Millisecond
-	cfg.PFS.MaxRetries = 4
-	cfg.PFS.RetryBackoff = 20 * time.Millisecond
 	ddCfg := core.DefaultConfig()
-	ddCfg.CRMTimeout = 2 * time.Second
-	ddCfg.CRMMaxRetries = 3
-	ddCfg.CRMBackoff = 50 * time.Millisecond
+	core.ArmFaultWatchdogs(&cfg, &ddCfg)
 	cl := cluster.New(cfg)
 	cl.FS.EnableIntegrity()
-	return executeOn(cl, maxTime, ddCfg, specs)
+	return o.executeOn(cl, maxTime, ddCfg, specs)
 }
 
 // Availability sweeps crash-stop server failures against the replica
@@ -202,7 +196,7 @@ func Availability(o Opts) *Result {
 				Key: fmt.Sprintf("availability/crashes=%s/replicas=%d", sc.label, reps),
 				Run: func() {
 					o.logf("availability: crashes=%s replicas=%d", sc.label, reps)
-					ms, cl := executeAvail(o.seed(), time.Hour, reps, sc.sch, []runSpec{
+					ms, cl := o.executeAvail(time.Hour, reps, sc.sch, []runSpec{
 						{prog: writer, mode: core.ModeVanilla},
 						{prog: reader, mode: core.ModeVanilla, nodeOff: 2},
 					})

@@ -18,7 +18,7 @@ func oracleRun(t *testing.T) *cluster.Cluster {
 	prog := availProg(true)
 	prog.Procs = 8
 	prog.Checkpoints = 4
-	ms, cl := executeAvail(1, time.Hour, 2, &fault.Schedule{},
+	ms, cl := Opts{Seed: 1}.executeAvail(time.Hour, 2, &fault.Schedule{},
 		[]runSpec{{prog: prog, mode: core.ModeVanilla}})
 	if !ms[0].finished {
 		t.Fatal("oracle-run workload did not finish")

@@ -39,26 +39,17 @@ func TestBaselineUnchangedWithoutBurst(t *testing.T) {
 	}
 	for _, v := range []struct {
 		name string
-		run  func() string
+		opts Opts
 	}{
-		{"parallel4", func() string {
-			return renderResult(Availability(Opts{Quick: true, Parallel: 4, Log: io.Discard}))
-		}},
-		{"audit", func() string {
-			SetAudit(true)
-			defer SetAudit(false)
-			return renderResult(Availability(Opts{Quick: true, Parallel: 1, Log: io.Discard}))
-		}},
-		{"audit-parallel4", func() string {
-			SetAudit(true)
-			defer SetAudit(false)
-			return renderResult(Availability(Opts{Quick: true, Parallel: 4, Log: io.Discard}))
-		}},
+		{"parallel4", Opts{Quick: true, Parallel: 4, Log: io.Discard}},
+		{"audit", Opts{Quick: true, Parallel: 1, Log: io.Discard, Audit: true}},
+		{"audit-parallel4", Opts{Quick: true, Parallel: 4, Log: io.Discard, Audit: true}},
 	} {
-		if out := v.run(); out != string(want) {
-			t.Errorf("%s output drifted from the pre-burst baseline:\n--- want ---\n%s\n--- got ---\n%s",
-				v.name, want, out)
-		}
+		t.Run(v.name, func(t *testing.T) {
+			if out := renderResult(Availability(v.opts)); out != string(want) {
+				t.Errorf("output drifted from the pre-burst baseline:\n--- want ---\n%s\n--- got ---\n%s", want, out)
+			}
+		})
 	}
 }
 
@@ -91,25 +82,16 @@ func TestMultitenantDeterminismGolden(t *testing.T) {
 	}
 	for _, v := range []struct {
 		name string
-		run  func() string
+		opts Opts
 	}{
-		{"parallel4", func() string {
-			return renderResult(Multitenant(Opts{Quick: true, Parallel: 4, Log: io.Discard}))
-		}},
-		{"audit", func() string {
-			SetAudit(true)
-			defer SetAudit(false)
-			return renderResult(Multitenant(Opts{Quick: true, Parallel: 1, Log: io.Discard}))
-		}},
-		{"audit-parallel4", func() string {
-			SetAudit(true)
-			defer SetAudit(false)
-			return renderResult(Multitenant(Opts{Quick: true, Parallel: 4, Log: io.Discard}))
-		}},
+		{"parallel4", Opts{Quick: true, Parallel: 4, Log: io.Discard}},
+		{"audit", Opts{Quick: true, Parallel: 1, Log: io.Discard, Audit: true}},
+		{"audit-parallel4", Opts{Quick: true, Parallel: 4, Log: io.Discard, Audit: true}},
 	} {
-		if out := v.run(); out != string(want) {
-			t.Errorf("%s output drifted from the golden:\n--- want ---\n%s\n--- got ---\n%s",
-				v.name, want, out)
-		}
+		t.Run(v.name, func(t *testing.T) {
+			if out := renderResult(Multitenant(v.opts)); out != string(want) {
+				t.Errorf("output drifted from the golden:\n--- want ---\n%s\n--- got ---\n%s", want, out)
+			}
+		})
 	}
 }

@@ -73,35 +73,24 @@ type ckptRun struct {
 
 // runCheckpoint executes one checkpoint cell end to end. bcfg == nil is
 // the direct path (writes go straight to the PFS); otherwise every
-// epoch-tagged write absorbs into the node-local burst log. audit arms the
-// invariant oracles regardless of the suite-wide flag (the crash-matrix
-// tests always want byte conservation checked).
-func runCheckpoint(seed int64, prog workloads.EpochCheckpoint, replicas int, bcfg *burst.Config, sch *fault.Schedule, audit bool) *ckptRun {
-	cfg := baseConfig()
-	cfg.Seed = seed
+// epoch-tagged write absorbs into the node-local burst log.
+func (o Opts) runCheckpoint(prog workloads.EpochCheckpoint, replicas int, bcfg *burst.Config, sch *fault.Schedule) *ckptRun {
+	cfg := o.clusterConfig()
 	cfg.Faults = sch
 	cfg.PFS.Replicas = replicas
 	cfg.PFS.DetectDelay = 100 * time.Millisecond
-	cfg.PFS.RequestTimeout = 250 * time.Millisecond
-	cfg.PFS.MaxRetries = 4
-	cfg.PFS.RetryBackoff = 20 * time.Millisecond
 	cfg.Burst = bcfg
 	ddCfg := core.DefaultConfig()
-	ddCfg.CRMTimeout = 2 * time.Second
-	ddCfg.CRMMaxRetries = 3
-	ddCfg.CRMBackoff = 50 * time.Millisecond
-	if audit {
-		ddCfg.Audit = true
-	}
+	core.ArmFaultWatchdogs(&cfg, &ddCfg)
 	cl := cluster.New(cfg)
 	cl.FS.EnableIntegrity()
-	ms, _ := executeOn(cl, 2*time.Minute, ddCfg, []runSpec{{prog: prog, mode: core.ModeVanilla}})
-	// The conservation ledgers arm once per cluster lifetime (re-arming
-	// resets the PFS side but not the stores'), so the restart runner must
-	// not build a second auditor; the oracles cover the checkpoint run and
-	// the recovery, and the restart's reads are checked by the integrity
+	ms, _ := o.executeOn(cl, 2*time.Minute, ddCfg, []runSpec{{prog: prog, mode: core.ModeVanilla}})
+	// ddCfg stays unaudited (executeOn arms o.Audit on its own copy): the
+	// conservation ledgers arm once per cluster lifetime (re-arming resets
+	// the PFS side but not the stores'), so the restart runner must not
+	// build a second auditor; the oracles cover the checkpoint run and the
+	// recovery, and the restart's reads are checked by the integrity
 	// oracle instead.
-	ddCfg.Audit = false
 	cr := &ckptRun{
 		cl: cl, ddCfg: ddCfg, prog: prog,
 		main:      ms[0],
@@ -239,7 +228,7 @@ func Checkpoint(o Opts) *Result {
 					Key: fmt.Sprintf("checkpoint/path=%s/crash=%s/replicas=%d", path.label, sc.label, reps),
 					Run: func() {
 						o.logf("checkpoint: path=%s crash=%s replicas=%d", path.label, sc.label, reps)
-						cr := runCheckpoint(o.seed(), prog, reps, path.bcfg, sc.sch, false)
+						cr := o.runCheckpoint(prog, reps, path.bcfg, sc.sch)
 						stall, drain, recover := "-", "-", "-"
 						if path.bcfg != nil {
 							stall = msec(cr.stats.Stall)

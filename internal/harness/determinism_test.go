@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"dualpar/internal/metrics"
@@ -110,5 +111,64 @@ func TestGoldenTables(t *testing.T) {
 					path, want, got)
 			}
 		})
+	}
+}
+
+// TestOptsIsolation runs one experiment concurrently under different Opts
+// and demands each render equal its serial render. The engine, audit and
+// report settings travel per call, so a run beside another with a different
+// engine, or with the oracles and a report sink armed, must not see them.
+// The lsm render must differ from the default one: that is what shows
+// Engine reaches the cluster.
+func TestOptsIsolation(t *testing.T) {
+	variants := []func() Opts{
+		func() Opts { return Opts{Quick: true, Parallel: 1, Log: io.Discard} },
+		func() Opts { return Opts{Quick: true, Parallel: 1, Log: io.Discard, Engine: "lsm"} },
+		func() Opts {
+			return Opts{Quick: true, Parallel: 1, Log: io.Discard, Audit: true, Reports: &ReportSink{}}
+		},
+	}
+	// run executes every variant, one after another or all at once, and
+	// renders the results on the test goroutine.
+	run := func(concurrent bool) []string {
+		opts := make([]Opts, len(variants))
+		results := make([]*Result, len(variants))
+		var wg sync.WaitGroup
+		for i, v := range variants {
+			opts[i] = v()
+			if !concurrent {
+				results[i] = Availability(opts[i])
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i] = Availability(opts[i])
+			}()
+		}
+		wg.Wait()
+		out := make([]string, len(variants))
+		for i, res := range results {
+			out[i] = renderResult(res)
+			if opts[i].Reports != nil {
+				out[i] += renderReports(t, opts[i].Reports)
+			}
+		}
+		return out
+	}
+	serial := run(false)
+	if serial[1] == serial[0] {
+		t.Fatalf("Engine: \"lsm\" rendered the default engine's table:\n%s", serial[0])
+	}
+	if !strings.HasPrefix(serial[2], serial[0]) {
+		t.Fatalf("audit/report run changed the table:\n--- default ---\n%s\n--- audit+report ---\n%s",
+			serial[0], serial[2])
+	}
+	conc := run(true)
+	for i := range variants {
+		if conc[i] != serial[i] {
+			t.Errorf("variant %d run concurrently differs from its serial run:\n--- serial ---\n%s\n--- concurrent ---\n%s",
+				i, serial[i], conc[i])
+		}
 	}
 }

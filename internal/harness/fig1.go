@@ -36,9 +36,9 @@ var fig1Strategies = []struct {
 // I/O ratio in the vanilla system: first measure pure-I/O time per call,
 // then set compute = ioPerCall*(1-ratio)/ratio (the paper's definition of
 // I/O ratio is relative to the vanilla run).
-func demoComputeFor(seed int64, segBytes int64, ratio float64, quick bool) time.Duration {
-	probe := fig1Demo(segBytes, 0, quick)
-	ms, _ := execute(seed, false, time.Hour, core.DefaultConfig(),
+func (o Opts) demoComputeFor(segBytes int64, ratio float64) time.Duration {
+	probe := fig1Demo(segBytes, 0, o.Quick)
+	ms, _ := o.execute(false, time.Hour, core.DefaultConfig(),
 		[]runSpec{{prog: probe, mode: core.ModeVanilla}})
 	calls := probe.Calls()
 	ioPerCall := ms[0].elapsed / time.Duration(calls)
@@ -70,11 +70,11 @@ func Fig1a(o Opts) *Result {
 		cells[i] = Cell{
 			Key: fmt.Sprintf("fig1a/ratio=%.2f", ratio),
 			Run: func() {
-				compute := demoComputeFor(o.seed(), 4<<10, ratio, o.Quick)
+				compute := o.demoComputeFor(4<<10, ratio)
 				row := []string{fmt.Sprintf("%.0f%%", ratio*100)}
 				for _, st := range fig1Strategies {
 					prog := fig1Demo(4<<10, compute, o.Quick)
-					ms, _ := execute(o.seed(), false, time.Hour, core.DefaultConfig(),
+					ms, _ := o.execute(false, time.Hour, core.DefaultConfig(),
 						[]runSpec{{prog: prog, mode: st.mode}})
 					row = append(row, secs(ms[0].elapsed))
 					o.logf("fig1a ratio=%.2f %s: %.2fs", ratio, st.label, ms[0].elapsed.Seconds())
@@ -110,11 +110,11 @@ func Fig1b(o Opts) *Result {
 		cells[i] = Cell{
 			Key: fmt.Sprintf("fig1b/seg=%dKB", seg>>10),
 			Run: func() {
-				compute := demoComputeFor(o.seed(), seg, 0.9, o.Quick)
+				compute := o.demoComputeFor(seg, 0.9)
 				row := []string{fmt.Sprintf("%dKB", seg>>10)}
 				for _, st := range fig1Strategies {
 					prog := fig1Demo(seg, compute, o.Quick)
-					ms, _ := execute(o.seed(), false, time.Hour, core.DefaultConfig(),
+					ms, _ := o.execute(false, time.Hour, core.DefaultConfig(),
 						[]runSpec{{prog: prog, mode: st.mode}})
 					row = append(row, secs(ms[0].elapsed))
 					o.logf("fig1b seg=%dKB %s: %.2fs", seg>>10, st.label, ms[0].elapsed.Seconds())
@@ -143,7 +143,7 @@ func Fig1cd(o Opts) *Result {
 	o = o.forSweep()
 	// The calibration probe is shared by both strategies, so it runs before
 	// the sweep — same order the serial loop used.
-	compute := demoComputeFor(o.seed(), 4<<10, 0.9, o.Quick)
+	compute := o.demoComputeFor(4<<10, 0.9)
 	strategies := []struct {
 		label string
 		mode  core.Mode
@@ -159,7 +159,7 @@ func Fig1cd(o Opts) *Result {
 			Key: "fig1cd/" + st.label,
 			Run: func() {
 				prog := fig1Demo(4<<10, compute, o.Quick)
-				ms, cl := execute(o.seed(), true, time.Hour, core.DefaultConfig(),
+				ms, cl := o.execute(true, time.Hour, core.DefaultConfig(),
 					[]runSpec{{prog: prog, mode: st.mode}})
 				tr := cl.Stores[0].Device().Trace()
 				// Sample a window in the middle of the run, like the paper's

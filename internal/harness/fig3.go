@@ -73,7 +73,7 @@ func Fig3(o Opts) *Result {
 					Key: fmt.Sprintf("fig3/%s/%s/%s", rw.label, name, sch.label),
 					Run: func() {
 						prog := fig3Program(name, rw.write, o.Quick)
-						ms, _ := execute(o.seed(), false, 4*time.Hour, core.DefaultConfig(),
+						ms, _ := o.execute(false, 4*time.Hour, core.DefaultConfig(),
 							[]runSpec{{prog: prog, mode: sch.mode}})
 						row[si] = mb(ms[0].throughputMBs())
 						o.logf("fig3 %s %s %s: %.1f MB/s (%.2fs)", name, rw.label, sch.label,

@@ -37,6 +37,18 @@ type Opts struct {
 	Parallel int
 	// Ctx cancels a long sweep mid-flight (nil = never).
 	Ctx context.Context
+	// Engine is the fs storage engine every experiment cluster's data
+	// servers use ("" = the extent default); see fs.Engines. The engines
+	// experiment overrides it per cell.
+	Engine string
+	// Audit arms the invariant oracles on every run; a violated invariant
+	// panics with the keyed error and its reproducer artifact path.
+	Audit bool
+	// Reports, when non-nil, attaches a collector to every run and stores
+	// the analysis of where its simulated time went. Off (nil) by default:
+	// tracing every cell of a sweep costs memory proportional to its span
+	// count.
+	Reports *ReportSink
 }
 
 func (o Opts) seed() int64 {
@@ -76,30 +88,20 @@ func (r *Result) note(format string, args ...interface{}) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// engineOverride is the storage engine every experiment cluster's data
-// servers use ("" = the extent default). Set once by SetEngine before the
-// suite starts (the worker pool reads it concurrently).
-var engineOverride string
-
-// SetEngine routes every subsequent experiment run through the named fs
-// storage engine; see fs.Engines for the choices. The engines experiment
-// overrides it per cell regardless.
-func SetEngine(name string) { engineOverride = name }
-
-// baseConfig is cluster.DefaultConfig plus the harness-wide overrides
-// (currently the storage-engine selection). Every experiment builds its
-// cluster from here so -engine reaches all of them.
-func baseConfig() cluster.Config {
+// clusterConfig is cluster.DefaultConfig with the run's seed and storage
+// engine. Every experiment builds its cluster from here so Engine reaches
+// all of them.
+func (o Opts) clusterConfig() cluster.Config {
 	cfg := cluster.DefaultConfig()
-	cfg.FS.Engine = engineOverride
+	cfg.Seed = o.seed()
+	cfg.FS.Engine = o.Engine
 	return cfg
 }
 
 // paperCluster builds the paper's platform: 9 data servers (two-disk RAID,
 // CFQ), a metadata server, 8 compute nodes, GigE, PVFS2 with 64 KB stripes.
-func paperCluster(seed int64, trace bool) *cluster.Cluster {
-	cfg := baseConfig()
-	cfg.Seed = seed
+func (o Opts) paperCluster(trace bool) *cluster.Cluster {
+	cfg := o.clusterConfig()
 	cfg.TraceServers = trace
 	return cluster.New(cfg)
 }
@@ -132,42 +134,27 @@ func (m measured) throughputMBs() float64 {
 
 // execute runs the given programs together on a fresh cluster and returns
 // per-program measurements (in spec order) plus the cluster for stats.
-func execute(seed int64, trace bool, maxTime time.Duration, ddCfg core.Config, specs []runSpec) ([]measured, *cluster.Cluster) {
-	return executeOn(paperCluster(seed, trace), maxTime, ddCfg, specs)
+func (o Opts) execute(trace bool, maxTime time.Duration, ddCfg core.Config, specs []runSpec) ([]measured, *cluster.Cluster) {
+	return o.executeOn(o.paperCluster(trace), maxTime, ddCfg, specs)
 }
 
 // executeFaults is execute with a fault schedule threaded through the
-// cluster and the retry watchdogs armed at both layers (PFS client request
-// timeouts plus the coarser CRM batch watchdog above them), so degraded
-// runs make progress instead of pinning on a straggler.
-func executeFaults(seed int64, maxTime time.Duration, ddCfg core.Config, sch *fault.Schedule, specs []runSpec) ([]measured, *cluster.Cluster) {
-	cfg := baseConfig()
-	cfg.Seed = seed
+// cluster and the retry watchdogs armed at both layers.
+func (o Opts) executeFaults(maxTime time.Duration, ddCfg core.Config, sch *fault.Schedule, specs []runSpec) ([]measured, *cluster.Cluster) {
+	cfg := o.clusterConfig()
 	cfg.Faults = sch
-	cfg.PFS.RequestTimeout = 250 * time.Millisecond
-	cfg.PFS.MaxRetries = 4
-	cfg.PFS.RetryBackoff = 20 * time.Millisecond
-	ddCfg.CRMTimeout = 2 * time.Second
-	ddCfg.CRMMaxRetries = 3
-	ddCfg.CRMBackoff = 50 * time.Millisecond
-	return executeOn(cluster.New(cfg), maxTime, ddCfg, specs)
+	core.ArmFaultWatchdogs(&cfg, &ddCfg)
+	return o.executeOn(cluster.New(cfg), maxTime, ddCfg, specs)
 }
 
-// auditRuns arms the invariant oracles on every experiment run. Set once by
-// SetAudit before the suite starts (the worker pool reads it concurrently).
-var auditRuns bool
-
-// SetAudit makes every subsequent experiment run execute with the audit
-// oracles armed; any violated invariant panics with the keyed error and its
-// reproducer artifact path, failing the suite loudly.
-func SetAudit(v bool) { auditRuns = v }
-
-func executeOn(cl *cluster.Cluster, maxTime time.Duration, ddCfg core.Config, specs []runSpec) ([]measured, *cluster.Cluster) {
-	if auditRuns {
+// executeOn runs specs on cl with the Opts' audit and report settings
+// applied.
+func (o Opts) executeOn(cl *cluster.Cluster, maxTime time.Duration, ddCfg core.Config, specs []runSpec) ([]measured, *cluster.Cluster) {
+	if o.Audit {
 		ddCfg.Audit = true
 	}
 	var reportCol *obs.Collector
-	if reportRuns && cl.Obs() == nil {
+	if o.Reports != nil && cl.Obs() == nil {
 		reportCol = obs.NewCollector()
 		cl.EnableObs(reportCol)
 	}
@@ -186,7 +173,7 @@ func executeOn(cl *cluster.Cluster, maxTime time.Duration, ddCfg core.Config, sp
 		panic(err)
 	}
 	if reportCol != nil {
-		recordReport(reportKey(cl, specs, reportCol), reportCol)
+		o.Reports.record(reportKey(cl, specs, reportCol), reportCol)
 	}
 	out := make([]measured, len(specs))
 	for i, pr := range runs {

@@ -9,9 +9,7 @@ import (
 	"dualpar/internal/cluster"
 	"dualpar/internal/core"
 	"dualpar/internal/metrics"
-	"dualpar/internal/sim"
 	"dualpar/internal/tenant"
-	"dualpar/internal/workloads"
 )
 
 // The multitenant experiment shares one cluster among competing tenants: a
@@ -27,43 +25,6 @@ import (
 // Stretch is a job's co-run elapsed time over the same class+mode job run
 // alone on an idle cluster; Jain's index is computed over the per-tenant
 // mean stretches.
-
-// tenantDemo maps a generated job onto a concrete program: a small 2-rank
-// interleaved-access Demo whose size class sets the file length. Ranks
-// interleave 4 KB segments, so vanilla execution issues strided reads while
-// a granted data-driven run fetches the file as one sorted batch — the
-// grant is worth something, which is what the arbiter polices.
-func tenantDemo(j tenant.Job, ranks int, quick bool) workloads.Demo {
-	d := workloads.DefaultDemo()
-	d.Procs = ranks
-	d.SegBytes = 4 << 10
-	d.SegsPerCall = 4
-	d.FileName = fmt.Sprintf("t%dj%d.dat", j.Tenant, j.Index)
-	var fb int64
-	switch j.Class {
-	case "s":
-		fb = 96 << 10
-	case "m":
-		fb = 192 << 10
-	default:
-		fb = 384 << 10
-	}
-	if !quick {
-		fb *= 2
-	}
-	d.FileBytes = fb
-	return d
-}
-
-// jobMode maps the generator's mode name onto an execution mode. Data-driven
-// jobs are pinned (ModeDataDriven): they request a grant at submission and,
-// when denied, run conventionally while the EMC retries every slot.
-func jobMode(name string) core.Mode {
-	if name == "dualpar" {
-		return core.ModeDataDriven
-	}
-	return core.ModeVanilla
-}
 
 // mixJob is one generated job's measured outcome.
 type mixJob struct {
@@ -86,73 +47,16 @@ type mixOut struct {
 }
 
 // runTenantMix executes the full generated schedule for tc on one shared
-// tenanted cluster. Open-loop kinds (poisson, burst) are driven by a single
-// arrival proc submitting each job at its scheduled time; the closed-loop
-// kind spawns one proc per (tenant, worker) that blocks on each job's
-// completion (OnDone) and sleeps the think time before submitting the next.
-// Everything runs in simulation context, so the run is deterministic per
-// seed regardless of host parallelism.
-func runTenantMix(seed int64, tc tenant.Config, quick bool) *mixOut {
-	cfg := baseConfig()
-	cfg.Seed = seed
+// tenanted cluster (see core.Runner.AddSchedule).
+func (o Opts) runTenantMix(tc tenant.Config) *mixOut {
+	cfg := o.clusterConfig()
 	cfg.Tenancy = &tc
 	cl := cluster.New(cfg)
 	ddCfg := core.DefaultConfig()
-	// Tiny jobs live for seconds; a sub-second slot gives a denied job
-	// several grant retries within its lifetime.
-	ddCfg.SlotEvery = 250 * time.Millisecond
-	if auditRuns {
-		ddCfg.Audit = true
-	}
+	ddCfg.SlotEvery = core.TenantSlot
+	ddCfg.Audit = o.Audit
 	r := core.NewRunner(cl, ddCfg)
-	sched := tenant.Schedule(tc)
-	runs := make([]*core.ProgramRun, len(sched))
-	nodes := cfg.ComputeNodes
-	addJob := func(p *sim.Proc, i int, onDone func()) {
-		j := sched[i]
-		runs[i] = r.Add(tenantDemo(j, tc.Ranks, quick), jobMode(j.Mode), core.AddOptions{
-			RanksPerNode:   tc.Ranks, // each job owns one compute node
-			FirstNodeIndex: i % nodes,
-			StartAt:        p.Now(),
-			Tenant:         j.Tenant,
-			OnDone:         onDone,
-		})
-	}
-	if tc.Arrival.Kind == tenant.ArrivalClosed {
-		// Group schedule indices per (tenant, worker) preserving order.
-		byWorker := make(map[[2]int][]int)
-		for i, j := range sched {
-			k := [2]int{j.Tenant, j.Worker}
-			byWorker[k] = append(byWorker[k], i)
-		}
-		for t := 0; t < tc.Tenants; t++ {
-			for w := 0; w < tc.Arrival.Workers; w++ {
-				idxs := byWorker[[2]int{t, w}]
-				cl.K.Spawn(fmt.Sprintf("tenant%d/worker%d", t, w), func(p *sim.Proc) {
-					for _, i := range idxs {
-						sig := cl.K.NewSignal()
-						done := false
-						addJob(p, i, func() { done = true; sig.Broadcast() })
-						for !done {
-							sig.Wait(p)
-						}
-						if tc.Arrival.Think > 0 {
-							p.Sleep(tc.Arrival.Think)
-						}
-					}
-				})
-			}
-		}
-	} else {
-		cl.K.Spawn("tenant/arrivals", func(p *sim.Proc) {
-			for i := range sched {
-				if at := sched[i].At; at > p.Now() {
-					p.Sleep(at - p.Now())
-				}
-				addJob(p, i, nil)
-			}
-		})
-	}
+	sched, runs := r.AddSchedule(o.jobScale())
 	finished := r.Run(30 * time.Minute)
 	if err := r.AuditErr(); err != nil {
 		panic(err)
@@ -180,23 +84,32 @@ func runTenantMix(seed int64, tc tenant.Config, quick bool) *mixOut {
 	return out
 }
 
+// jobScale is the tenant jobs' file-size multiplier: full runs double the
+// quick sizes.
+func (o Opts) jobScale() int64 {
+	if o.Quick {
+		return 1
+	}
+	return 2
+}
+
 // soloKey indexes the stretch baselines by (class, mode).
 type soloKey struct{ class, mode string }
 
 // soloBaselines measures each (class, mode) job template once, alone on an
 // idle untenanted cluster — the stretch denominators. Computed once per
 // experiment and shared read-only by all sweep cells.
-func soloBaselines(seed int64, ranks int, quick bool) map[soloKey]time.Duration {
+func (o Opts) soloBaselines(ranks int) map[soloKey]time.Duration {
 	base := make(map[soloKey]time.Duration)
 	ddCfg := core.DefaultConfig()
-	ddCfg.SlotEvery = 250 * time.Millisecond
+	ddCfg.SlotEvery = core.TenantSlot
 	for _, class := range []string{"s", "m", "l"} {
 		for _, mode := range []string{"dualpar", "vanilla"} {
 			j := tenant.Job{Class: class, Mode: mode}
-			d := tenantDemo(j, ranks, quick)
+			d := core.TenantDemo(j, ranks, o.jobScale())
 			d.FileName = "solo.dat"
-			ms, _ := executeOn(paperCluster(seed, false), time.Hour, ddCfg,
-				[]runSpec{{prog: d, mode: jobMode(mode)}})
+			ms, _ := o.execute(false, time.Hour, ddCfg,
+				[]runSpec{{prog: d, mode: core.JobMode(mode)}})
 			base[soloKey{class, mode}] = ms[0].elapsed
 		}
 	}
@@ -369,7 +282,7 @@ func Multitenant(o Opts) *Result {
 			"mean_str", "worst_p99", "jain", "granted", "denied", "revoked"}},
 	}
 	specs := multitenantSpecs(o.Quick)
-	base := soloBaselines(o.seed(), 2, o.Quick)
+	base := o.soloBaselines(2)
 	res.note("stretch = co-run elapsed / solo elapsed for the same (class, mode) job; worst_p99 is the worst tenant's p99 stretch; jain is Jain's index over per-tenant mean stretch")
 	res.note("solo baselines (ms): s/dd=%s s/van=%s m/dd=%s m/van=%s l/dd=%s l/van=%s",
 		msec(base[soloKey{"s", "dualpar"}]), msec(base[soloKey{"s", "vanilla"}]),
@@ -395,7 +308,7 @@ func Multitenant(o Opts) *Result {
 				}
 				tc.Seed = o.seed()
 				o.logf("multitenant: %s", spec)
-				out := runTenantMix(o.seed(), tc, o.Quick)
+				out := o.runTenantMix(tc)
 				st := summarize(out, base, tc.Tenants)
 				if st.unfinished > 0 {
 					slot.notes = append(slot.notes, fmt.Sprintf(

@@ -20,7 +20,8 @@ func TestFairImprovesWorstTenantP99(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two multi-hundred-job shared-cluster runs; skipped with -short")
 	}
-	base := soloBaselines(1, 2, true)
+	o := Opts{Seed: 1, Quick: true}
+	base := o.soloBaselines(2)
 	run := func(policy string) mixStats {
 		tc, err := tenant.ParseSpec(
 			"tenants:4,arrival=poisson:12,policy=" + policy +
@@ -29,7 +30,7 @@ func TestFairImprovesWorstTenantP99(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc.Seed = 1
-		out := runTenantMix(1, tc, true)
+		out := o.runTenantMix(tc)
 		if !out.finished {
 			t.Fatalf("%s cell did not finish in budget", policy)
 		}
@@ -54,13 +55,14 @@ func TestMultitenantQuickConcurrency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("750-job shared-cluster run; skipped with -short")
 	}
-	base := soloBaselines(1, 2, true)
+	o := Opts{Seed: 1, Quick: true}
+	base := o.soloBaselines(2)
 	tc, err := tenant.ParseSpec(multitenantSpecs(true)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	tc.Seed = 1
-	st := summarize(runTenantMix(1, tc, true), base, tc.Tenants)
+	st := summarize(o.runTenantMix(tc), base, tc.Tenants)
 	if st.peak < 500 {
 		t.Fatalf("peak concurrency %d, want >= 500", st.peak)
 	}
@@ -88,13 +90,14 @@ func TestSingleTenantMatchesUntenanted(t *testing.T) {
 	ddCfg := core.DefaultConfig()
 	ddCfg.SlotEvery = 250 * time.Millisecond
 
-	plain, _ := executeOn(paperCluster(7, false), time.Hour, ddCfg, specs())
+	o := Opts{Seed: 7}
+	plain, _ := o.execute(false, time.Hour, ddCfg, specs())
 
 	cfg := cluster.DefaultConfig()
 	cfg.Seed = 7
 	tc := tenant.DefaultConfig()
 	cfg.Tenancy = &tc
-	tenanted, cl := executeOn(cluster.New(cfg), time.Hour, ddCfg, specs())
+	tenanted, cl := o.executeOn(cluster.New(cfg), time.Hour, ddCfg, specs())
 
 	if cl.Arbiter() == nil {
 		t.Fatal("tenanted cluster has no arbiter")

@@ -12,27 +12,18 @@ import (
 	"dualpar/internal/obs/analyze"
 )
 
-// reportRuns arms run-level time attribution on every experiment run. Set
-// once by SetReport before the suite starts (the worker pool reads it
-// concurrently).
-var reportRuns bool
-
-// SetReport makes every subsequent experiment run attach a collector and
-// analyze where its simulated time went; DrainReports returns the
-// accumulated attributions. Off by default: tracing every cell of a sweep
-// costs memory proportional to its span count.
-func SetReport(v bool) { reportRuns = v }
-
 // RunReport pairs one run's deterministic identity with its attribution.
 type RunReport struct {
 	Key    string
 	Report *analyze.Report
 }
 
-var (
-	reportMu   sync.Mutex
-	reportSink map[string]*analyze.Report
-)
+// ReportSink collects one time-attribution report per experiment run;
+// point Opts.Reports at one to arm it. Safe for concurrent sweep cells.
+type ReportSink struct {
+	mu      sync.Mutex
+	reports map[string]*analyze.Report
+}
 
 // reportKey names a run by the spec the harness can see — cluster seed plus
 // each program's identity, mode, placement, and start — and a fingerprint of
@@ -40,7 +31,7 @@ var (
 // the same program with different workload internals or core configs), so
 // the span hash does the disambiguation: runs with equal keys recorded
 // byte-identical timelines and therefore interchangeable reports, keeping
-// DrainReports independent of which concurrent cell stored last.
+// Drain independent of which concurrent cell stored last.
 func reportKey(cl *cluster.Cluster, specs []runSpec, col *obs.Collector) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed=%d", cl.Config().Seed)
@@ -56,28 +47,28 @@ func reportKey(cl *cluster.Cluster, specs []runSpec, col *obs.Collector) string 
 	return b.String()
 }
 
-// recordReport analyzes one finished run's collector into the sink.
-func recordReport(key string, col *obs.Collector) {
+// record analyzes one finished run's collector into the sink.
+func (s *ReportSink) record(key string, col *obs.Collector) {
 	rep := analyze.FromCollector(col, analyze.Options{})
-	reportMu.Lock()
-	defer reportMu.Unlock()
-	if reportSink == nil {
-		reportSink = make(map[string]*analyze.Report)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.reports == nil {
+		s.reports = make(map[string]*analyze.Report)
 	}
-	reportSink[key] = rep
+	s.reports[key] = rep
 }
 
-// DrainReports returns all accumulated run reports sorted by key and clears
-// the sink. The order — and therefore any rendering of it — is independent
-// of sweep parallelism.
-func DrainReports() []RunReport {
-	reportMu.Lock()
-	defer reportMu.Unlock()
-	out := make([]RunReport, 0, len(reportSink))
-	for k, r := range reportSink {
+// Drain returns all accumulated run reports sorted by key and clears the
+// sink. The order — and therefore any rendering of it — is independent of
+// sweep parallelism.
+func (s *ReportSink) Drain() []RunReport {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]RunReport, 0, len(s.reports))
+	for k, r := range s.reports {
 		out = append(out, RunReport{Key: k, Report: r})
 	}
-	reportSink = nil
+	s.reports = nil
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }

@@ -13,11 +13,17 @@ import (
 // and renders the drained reports the way cmd/experiments prints them.
 func fig1aReports(t *testing.T, parallel int) string {
 	t.Helper()
-	SetReport(true)
-	defer SetReport(false)
-	Fig1a(Opts{Quick: true, Seed: 1, Parallel: parallel, Log: io.Discard})
+	sink := &ReportSink{}
+	Fig1a(Opts{Quick: true, Seed: 1, Parallel: parallel, Log: io.Discard, Reports: sink})
+	return renderReports(t, sink)
+}
+
+// renderReports drains sink and renders its reports the way
+// cmd/experiments prints them, checking each conserves time.
+func renderReports(t *testing.T, sink *ReportSink) string {
+	t.Helper()
 	var b strings.Builder
-	reports := DrainReports()
+	reports := sink.Drain()
 	if len(reports) == 0 {
 		t.Fatal("no reports drained")
 	}

@@ -72,7 +72,7 @@ func Straggler(o Opts) *Result {
 							{Kind: fault.DiskSlow, Target: 1, Factor: sev},
 						}
 					}
-					ms, _ := executeFaults(o.seed(), time.Hour, core.DefaultConfig(), sch,
+					ms, _ := o.executeFaults(time.Hour, core.DefaultConfig(), sch,
 						[]runSpec{{prog: prog, mode: m.mode}})
 					if !ms[0].finished {
 						slot.note = fmt.Sprintf("severity %gx/%v DID NOT FINISH within the time budget", sev, m.mode)

@@ -78,6 +78,22 @@ type Algorithm interface {
 	NotifyComplete(r *Request, now time.Duration)
 }
 
+// ByName returns a constructor for the named elevator: "cfq",
+// "deadline", "noop" or "anticipatory".
+func ByName(name string) (func() Algorithm, error) {
+	switch name {
+	case "cfq":
+		return func() Algorithm { return NewCFQ() }, nil
+	case "deadline":
+		return func() Algorithm { return NewDeadline() }, nil
+	case "noop":
+		return func() Algorithm { return NewNOOP() }, nil
+	case "anticipatory":
+		return func() Algorithm { return NewAnticipatory() }, nil
+	}
+	return nil, fmt.Errorf("unknown scheduler %q", name)
+}
+
 // Device is the subset of disk.Device the dispatcher needs.
 type Device interface {
 	Access(p *sim.Proc, lbn, sectors int64, write bool) time.Duration

@@ -316,3 +316,20 @@ func TestSortedQueueNoMergeAcrossDirection(t *testing.T) {
 		t.Fatalf("read and write merged")
 	}
 }
+
+// TestByName checks every known name builds the elevator it names and an
+// unknown one is an error.
+func TestByName(t *testing.T) {
+	for _, name := range []string{"cfq", "deadline", "noop", "anticipatory"} {
+		mk, err := ByName(name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if got := mk().Name(); got != name {
+			t.Errorf("ByName(%q) built %q", name, got)
+		}
+	}
+	if _, err := ByName("cfg"); err == nil {
+		t.Error("ByName accepted a misspelled name")
+	}
+}
