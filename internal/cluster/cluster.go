@@ -93,10 +93,26 @@ type Cluster struct {
 	arb    *tenant.Arbiter
 }
 
-// New builds a cluster.
+// Validate reports configuration errors: a testbed without data servers,
+// compute nodes or disks, more replicas than data servers, or an invalid
+// storage-engine or PFS config.
+func (c Config) Validate() error {
+	if c.DataServers <= 0 || c.ComputeNodes <= 0 || c.DisksPerRAID <= 0 {
+		return fmt.Errorf("cluster: bad shape %d/%d/%d", c.DataServers, c.ComputeNodes, c.DisksPerRAID)
+	}
+	if c.PFS.Replicas > c.DataServers {
+		return fmt.Errorf("cluster: %d replicas on %d data servers", c.PFS.Replicas, c.DataServers)
+	}
+	if err := c.FS.Validate(); err != nil {
+		return err
+	}
+	return c.PFS.Validate()
+}
+
+// New builds a cluster. It panics on an invalid config (see Validate).
 func New(cfg Config) *Cluster {
-	if cfg.DataServers <= 0 || cfg.ComputeNodes <= 0 || cfg.DisksPerRAID <= 0 {
-		panic(fmt.Sprintf("cluster: bad shape %d/%d/%d", cfg.DataServers, cfg.ComputeNodes, cfg.DisksPerRAID))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	k := sim.NewKernel(cfg.Seed)
 	net := netsim.New(k, cfg.Net)

@@ -23,6 +23,28 @@ func TestDefaultShapeMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestConfigValidate checks the shape and sub-config rules New enforces are
+// reported as errors, so callers can reject bad input without a panic.
+func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config: %v", err)
+	}
+	for name, mutate := range map[string]func(*Config){
+		"no servers":       func(c *Config) { c.DataServers = 0 },
+		"no compute nodes": func(c *Config) { c.ComputeNodes = 0 },
+		"no disks":         func(c *Config) { c.DisksPerRAID = 0 },
+		"replicas>servers": func(c *Config) { c.DataServers = 3; c.PFS.Replicas = 4 },
+		"bad engine":       func(c *Config) { c.FS.Engine = "bogus" },
+		"bad pfs":          func(c *Config) { c.PFS.Replicas = -1 },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: validated", name)
+		}
+	}
+}
+
 func TestClusterAssembles(t *testing.T) {
 	cl := New(DefaultConfig())
 	if len(cl.Stores) != 9 {
