@@ -124,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var prog workloads.Program
 	var m core.Mode
 	if f.tenants == "" {
-		if prog, err = buildWorkload(*workload, *procs, *mbytes<<20, *write); err != nil {
+		if prog, err = buildWorkload(*workload, *procs, *mbytes, *write); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
@@ -392,7 +392,15 @@ func rw(write bool) string {
 	return "read"
 }
 
-func buildWorkload(name string, procs int, bytes int64, write bool) (workloads.Program, error) {
+// buildWorkload builds the named workload with procs ranks over mb MiB.
+func buildWorkload(name string, procs int, mb int64, write bool) (workloads.Program, error) {
+	if procs < 1 {
+		return nil, fmt.Errorf("-procs must be at least 1, got %d", procs)
+	}
+	if mb < 1 || mb > math.MaxInt64>>20 {
+		return nil, fmt.Errorf("-mb must be in [1, %d], got %d", int64(math.MaxInt64>>20), mb)
+	}
+	bytes := mb << 20
 	switch name {
 	case "demo":
 		d := workloads.DefaultDemo()

@@ -45,6 +45,9 @@ func TestGolden(t *testing.T) {
 		{"tenants_faults", []string{"-tenants", poisson, "-replicas", "3", "-faults", "crash:2@0.05s-0.5s;disk:1*10@0s-1s", "-audit"}},
 		{"bad_sched", []string{"-sched", "bogus"}},
 		{"bad_engine", []string{"-engine", "bogus"}},
+		{"zero_procs", []string{"-workload", "demo", "-procs", "0"}},
+		{"zero_mb", []string{"-workload", "demo", "-mb", "0"}},
+		{"huge_mb", []string{"-workload", "demo", "-mb", "17592186044417"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			got := invoke(c.args...)

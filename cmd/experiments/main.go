@@ -4,14 +4,20 @@
 //
 // Usage:
 //
-//	experiments [-run all|fig1a|fig1b|fig1cd|fig3|fig4|fig5|table2|fig6|fig7|fig8|table3|straggler|engines|...]
-//	            [-quick] [-seed N] [-out DIR] [-q] [-parallel N] [-audit] [-report]
-//	            [-engine extent|bptree|lsm] [-cpuprofile FILE] [-memprofile FILE]
+//	experiments [-run all|ID[,ID...]] [-quick] [-seed N] [-out DIR] [-q]
+//	            [-parallel N] [-audit] [-report] [-engine extent|bptree|lsm]
+//	            [-cpuprofile FILE] [-memprofile FILE]
+//
+// The IDs, and the order -run all prints them in, come from
+// harness.Experiments (fig1a … table3, the ablate-* ablations, straggler,
+// availability, checkpoint, multitenant, engines); an unknown ID prints the
+// list and exits 2.
 //
 // Every flag that shapes the runs travels in one harness.Opts: -quick,
 // -seed, -parallel, -engine (checked by fs.Config.Validate; a bad name
 // exits 2), -audit (arm the invariant oracles on every run) and -report
-// (a harness.ReportSink drained after the tables).
+// (a harness.ReportSink rendered after the tables; a run whose attribution
+// does not conserve time exits 1).
 //
 // Sweeps run across GOMAXPROCS workers by default; -parallel 1 falls back to
 // the serial path. Output tables are byte-identical either way (the sweep
@@ -34,45 +40,6 @@ import (
 	"dualpar/internal/harness"
 	"dualpar/internal/metrics"
 )
-
-var experiments = map[string]func(harness.Opts) *harness.Result{
-	"fig1a":  harness.Fig1a,
-	"fig1b":  harness.Fig1b,
-	"fig1cd": harness.Fig1cd,
-	"fig3":   harness.Fig3,
-	"fig4":   harness.Fig4,
-	"fig5":   harness.Fig5,
-	"table2": harness.Table2,
-	"fig6":   harness.Fig6,
-	"fig7":   harness.Fig7,
-	"fig8":   harness.Fig8,
-	"table3": harness.Table3,
-
-	"ablate-sched":     harness.AblateScheduler,
-	"ablate-t":         harness.AblateTImprovement,
-	"ablate-hole":      harness.AblateHoleThreshold,
-	"ablate-chunk":     harness.AblateChunkSize,
-	"ablate-origins":   harness.AblateDiskOrigins,
-	"ablate-cb":        harness.AblateCollectiveBuffer,
-	"ablate-ssd":       harness.AblateSSD,
-	"ablate-writepath": harness.AblateWritePath,
-	"ablate-s2window":  harness.AblateStrategy2Window,
-	"ablate-servers":   harness.AblateServers,
-	"ablate-pipeline":  harness.AblatePipeline,
-
-	"straggler":    harness.Straggler,
-	"availability": harness.Availability,
-	"checkpoint":   harness.Checkpoint,
-	"multitenant":  harness.Multitenant,
-	"engines":      harness.Engines,
-}
-
-var order = []string{
-	"fig1a", "fig1b", "fig1cd", "fig3", "fig4", "fig5", "table2", "fig6", "fig7", "fig8", "table3",
-	"ablate-sched", "ablate-t", "ablate-hole", "ablate-chunk", "ablate-origins", "ablate-cb", "ablate-ssd",
-	"ablate-writepath", "ablate-s2window", "ablate-servers", "ablate-pipeline",
-	"straggler", "availability", "checkpoint", "multitenant", "engines",
-}
 
 func main() {
 	run := flag.String("run", "all", "experiment id or 'all'")
@@ -134,16 +101,21 @@ func main() {
 		opts.Reports = &harness.ReportSink{}
 	}
 
-	var ids []string
+	var exps []harness.Experiment
 	if *run == "all" {
-		ids = order
+		exps = harness.Experiments
 	} else {
 		for _, id := range strings.Split(*run, ",") {
-			if _, ok := experiments[id]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", id, strings.Join(order, " "))
+			e, ok := lookup(id)
+			if !ok {
+				var known []string
+				for _, e := range harness.Experiments {
+					known = append(known, e.ID)
+				}
+				fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", id, strings.Join(known, " "))
 				os.Exit(2)
 			}
-			ids = append(ids, id)
+			exps = append(exps, e)
 		}
 	}
 	if *out != "" {
@@ -155,10 +127,10 @@ func main() {
 	// Experiments run through the sweep pool (whole experiments are
 	// themselves independent cells); results print afterwards in request
 	// order, so stdout is byte-identical at any parallelism.
-	results := make([]*harness.Result, len(ids))
-	cells := make([]harness.Cell, len(ids))
-	for i, id := range ids {
-		cells[i] = harness.Cell{Key: id, Run: func() { results[i] = experiments[id](opts) }}
+	results := make([]*harness.Result, len(exps))
+	cells := make([]harness.Cell, len(exps))
+	for i, e := range exps {
+		cells[i] = harness.Cell{Key: e.ID, Run: func() { results[i] = e.Run(opts) }}
 	}
 	if err := harness.RunCells(context.Background(), *parallel, cells); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -183,20 +155,21 @@ func main() {
 	if *report {
 		// Reports drain sorted by run key, so this section is byte-identical
 		// at any -parallel setting.
-		for _, rr := range opts.Reports.Drain() {
-			fmt.Printf("== report: %s ==\n", rr.Key)
-			if err := rr.Report.RenderText(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if !rr.Report.Conserved() {
-				fmt.Fprintf(os.Stderr, "run %s: attribution violates conservation (max residual %dns)\n",
-					rr.Key, int64(rr.Report.MaxResidual))
-				os.Exit(1)
-			}
-			fmt.Println()
+		if err := opts.Reports.Render(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 	}
+}
+
+// lookup finds the experiment with the given ID in harness.Experiments.
+func lookup(id string) (harness.Experiment, bool) {
+	for _, e := range harness.Experiments {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return harness.Experiment{}, false
 }
 
 func writeResult(dir string, res *harness.Result) error {

@@ -19,7 +19,6 @@ import (
 // since the reordering happens above the block layer.
 func AblateScheduler(o Opts) *Result {
 	res := &Result{
-		ID:    "ablate-sched",
 		Title: "Ablation: I/O scheduler choice (mpi-io-test read, MB/s)",
 		Table: &metrics.Table{Header: []string{"scheduler", "vanilla", "dualpar"}},
 	}
@@ -55,7 +54,6 @@ func AblateScheduler(o Opts) *Result {
 // behaves identically.
 func AblateTImprovement(o Opts) *Result {
 	res := &Result{
-		ID:    "ablate-t",
 		Title: "Ablation: T_improvement sensitivity (Fig 7 scenario)",
 		Table: &metrics.Table{Header: []string{"T", "switched", "finish_s"}},
 	}
@@ -102,7 +100,6 @@ func AblateTImprovement(o Opts) *Result {
 // effect shows in the disk access count more than in bytes.
 func AblateHoleThreshold(o Opts) *Result {
 	res := &Result{
-		ID:    "ablate-hole",
 		Title: "Ablation: CRM hole-filling threshold (hpio, 4KB regions / 4KB gaps)",
 		Table: &metrics.Table{Header: []string{"hole_kb", "elapsed_s", "disk_accesses", "read_MB"}},
 	}
@@ -133,7 +130,6 @@ func AblateHoleThreshold(o Opts) *Result {
 // stripe unit (the paper pins it to 64 KB so one chunk maps to one server).
 func AblateChunkSize(o Opts) *Result {
 	res := &Result{
-		ID:    "ablate-chunk",
 		Title: "Ablation: global-cache chunk size (mpi-io-test read)",
 		Table: &metrics.Table{Header: []string{"chunk_kb", "throughput_MBs"}},
 	}
@@ -159,7 +155,6 @@ func AblateChunkSize(o Opts) *Result {
 // the substrate models PVFS2's single server process as the origin.
 func AblateDiskOrigins(o Opts) *Result {
 	res := &Result{
-		ID:    "ablate-origins",
 		Title: "Ablation: CFQ origin attribution (mpi-io-test vanilla read)",
 		Table: &metrics.Table{Header: []string{"origin", "throughput_MBs"}},
 	}
@@ -188,7 +183,6 @@ func AblateDiskOrigins(o Opts) *Result {
 // AblateCollectiveBuffer sweeps ROMIO's cb_buffer_size on noncontig.
 func AblateCollectiveBuffer(o Opts) *Result {
 	res := &Result{
-		ID:    "ablate-cb",
 		Title: "Ablation: collective buffer size (noncontig read)",
 		Table: &metrics.Table{Header: []string{"cb_mb", "throughput_MBs"}},
 	}
@@ -214,7 +208,6 @@ func AblateCollectiveBuffer(o Opts) *Result {
 // effects — quantifying how disk-era the paper's premise is.
 func AblateSSD(o Opts) *Result {
 	res := &Result{
-		ID:    "ablate-ssd",
 		Title: "Ablation: rotating disks vs SSD (mpi-io-test read, MB/s)",
 		Table: &metrics.Table{Header: []string{"storage", "vanilla", "dualpar", "speedup"}},
 	}
@@ -243,23 +236,12 @@ func AblateSSD(o Opts) *Result {
 	return res
 }
 
-// Ablations runs every ablation.
-func Ablations(o Opts) []*Result {
-	return []*Result{
-		AblateScheduler(o), AblateTImprovement(o), AblateHoleThreshold(o),
-		AblateChunkSize(o), AblateDiskOrigins(o), AblateCollectiveBuffer(o),
-		AblateSSD(o), AblateWritePath(o), AblateStrategy2Window(o),
-		AblateServers(o), AblatePipeline(o),
-	}
-}
-
 // AblateWritePath contrasts PVFS2's per-operation data sync (Trove-style,
 // the default substrate model) with buffered server writeback (dirty pages
 // flushed every second, as the paper forces) on the mpi-io-test write
 // workload.
 func AblateWritePath(o Opts) *Result {
 	res := &Result{
-		ID:    "ablate-writepath",
 		Title: "Ablation: server write path (mpi-io-test write, MB/s)",
 		Table: &metrics.Table{Header: []string{"write_path", "vanilla", "dualpar"}},
 	}
@@ -298,7 +280,6 @@ func AblateWritePath(o Opts) *Result {
 // run: too small and it cannot hide I/O, too large only wastes memory.
 func AblateStrategy2Window(o Opts) *Result {
 	res := &Result{
-		ID:    "ablate-s2window",
 		Title: "Ablation: Strategy-2 prefetch window (demo, 10ms compute/call)",
 		Table: &metrics.Table{Header: []string{"window_kb", "elapsed_s"}},
 	}
@@ -326,7 +307,6 @@ func AblateStrategy2Window(o Opts) *Result {
 // the client-side network bounds them.
 func AblateServers(o Opts) *Result {
 	res := &Result{
-		ID:    "ablate-servers",
 		Title: "Ablation: data-server count (mpi-io-test read, MB/s)",
 		Table: &metrics.Table{Header: []string{"servers", "vanilla", "dualpar", "speedup"}},
 	}
@@ -359,7 +339,6 @@ func AblateServers(o Opts) *Result {
 // plain data-driven execution loses time to its unoverlapped cycles.
 func AblatePipeline(o Opts) *Result {
 	res := &Result{
-		ID:    "ablate-pipeline",
 		Title: "Ablation (extension): pipelined data-driven cycles (demo, ~70% I/O ratio)",
 		Table: &metrics.Table{Header: []string{"scheme", "elapsed_s"}},
 	}

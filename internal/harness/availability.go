@@ -150,7 +150,6 @@ func (o Opts) executeAvail(maxTime time.Duration, replicas int, sch *fault.Sched
 // of hanging.
 func Availability(o Opts) *Result {
 	res := &Result{
-		ID:    "availability",
 		Title: "Availability under crash-stop failures: replicas vs crashes, checkpoint workload",
 		Table: &metrics.Table{Header: []string{
 			"crashes", "replicas", "completed", "elapsed_s", "io_error", "failovers", "oracle"}},
@@ -182,65 +181,55 @@ func Availability(o Opts) *Result {
 	reader := availReader(o.Quick)
 	res.note("checkpoint writer + concurrent reader in every cell; the oracle re-reads all written bytes after the run; crash targets chosen off the replica stride so R=2 covers both scenarios")
 
-	o = o.forSweep()
-	type cellOut struct {
-		row   []string
-		notes []string
-	}
-	outs := make([]cellOut, len(scenarios)*len(replicaCounts))
-	var cells []Cell
-	for si, sc := range scenarios {
-		for ri, reps := range replicaCounts {
-			slot := &outs[si*len(replicaCounts)+ri]
-			cells = append(cells, Cell{
-				Key: fmt.Sprintf("availability/crashes=%s/replicas=%d", sc.label, reps),
-				Run: func() {
-					o.logf("availability: crashes=%s replicas=%d", sc.label, reps)
-					ms, cl := o.executeAvail(time.Hour, reps, sc.sch, []runSpec{
-						{prog: writer, mode: core.ModeVanilla},
-						{prog: reader, mode: core.ModeVanilla, nodeOff: 2},
-					})
-					completed := "yes"
-					last := ms[0].elapsed
-					for _, m := range ms {
-						if !m.finished {
-							completed = "NO"
-							slot.notes = append(slot.notes,
-								fmt.Sprintf("crashes=%s replicas=%d DID NOT FINISH within the time budget", sc.label, reps))
-						}
-						if m.elapsed > last {
-							last = m.elapsed
-						}
-					}
-					ioErr := "-"
-					var lost []string
-					for i, name := range []string{"writer", "reader"} {
-						if err := ms[i].run.Err(); err != nil {
-							if errorsIsRetries(err) {
-								lost = append(lost, name)
-							} else {
-								lost = append(lost, name+": "+err.Error())
-							}
-						}
-					}
-					if len(lost) > 0 {
-						ioErr = "data loss: " + strings.Join(lost, "+")
-					}
-					oracle := "ok"
-					if err := VerifyIntegrity(cl); err != nil {
-						oracle = "FAIL: " + err.Error()
-					}
-					slot.row = []string{sc.label, fmt.Sprintf("%d", reps), completed,
-						secs(last), ioErr, fmt.Sprintf("%d", cl.FS.Failovers()), oracle}
-				},
-			})
+	// Cell i is scenarios[i/len(replicaCounts)] at replicaCounts[i%len(replicaCounts)].
+	var keys []string
+	for _, sc := range scenarios {
+		for _, reps := range replicaCounts {
+			keys = append(keys, fmt.Sprintf("availability/crashes=%s/replicas=%d", sc.label, reps))
 		}
 	}
-	runSweep(o, cells)
-	for _, out := range outs {
-		res.Notes = append(res.Notes, out.notes...)
-		res.Table.AddRow(out.row...)
-	}
+	res.addRows(sweep(o, keys, func(o Opts, i int) tableRow {
+		sc, reps := scenarios[i/len(replicaCounts)], replicaCounts[i%len(replicaCounts)]
+		o.logf("availability: crashes=%s replicas=%d", sc.label, reps)
+		ms, cl := o.executeAvail(time.Hour, reps, sc.sch, []runSpec{
+			{prog: writer, mode: core.ModeVanilla},
+			{prog: reader, mode: core.ModeVanilla, nodeOff: 2},
+		})
+		var out tableRow
+		completed := "yes"
+		last := ms[0].elapsed
+		for _, m := range ms {
+			if !m.finished {
+				completed = "NO"
+				out.notes = append(out.notes,
+					fmt.Sprintf("crashes=%s replicas=%d DID NOT FINISH within the time budget", sc.label, reps))
+			}
+			if m.elapsed > last {
+				last = m.elapsed
+			}
+		}
+		ioErr := "-"
+		var lost []string
+		for i, name := range []string{"writer", "reader"} {
+			if err := ms[i].run.Err(); err != nil {
+				if errorsIsRetries(err) {
+					lost = append(lost, name)
+				} else {
+					lost = append(lost, name+": "+err.Error())
+				}
+			}
+		}
+		if len(lost) > 0 {
+			ioErr = "data loss: " + strings.Join(lost, "+")
+		}
+		oracle := "ok"
+		if err := VerifyIntegrity(cl); err != nil {
+			oracle = "FAIL: " + err.Error()
+		}
+		out.row = []string{sc.label, fmt.Sprintf("%d", reps), completed,
+			secs(last), ioErr, fmt.Sprintf("%d", cl.FS.Failovers()), oracle}
+		return out
+	}))
 	return res
 }
 

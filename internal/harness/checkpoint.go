@@ -180,7 +180,6 @@ func msec(d time.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()*1e3) 
 // integrity oracle on both paths.
 func Checkpoint(o Opts) *Result {
 	res := &Result{
-		ID:    "checkpoint",
 		Title: "Checkpoint/restart under client crashes: direct vs burst-buffer write log",
 		Table: &metrics.Table{Header: []string{
 			"path", "crash", "replicas", "committed", "lost",
@@ -213,60 +212,57 @@ func Checkpoint(o Opts) *Result {
 		prog.Procs, prog.Epochs, fmt.Sprintf("%dKB", prog.BlockBytes>>10), period)
 	res.note("write_s is rank-visible checkpoint write time; drain_ms is mean seal->PFS-durable lag; recover_ms covers replay of sealed records plus the drain tail; 'no-epoch' marks the typed nothing-committed restart error")
 
-	o = o.forSweep()
-	type cellOut struct {
-		row   []string
-		notes []string
+	type cell struct {
+		path, crash string
+		bcfg        *burst.Config
+		sch         *fault.Schedule
+		reps        int
 	}
-	outs := make([]cellOut, len(paths)*len(scenarios)*len(replicaCounts))
-	var cells []Cell
-	for pi, path := range paths {
-		for si, sc := range scenarios {
-			for ri, reps := range replicaCounts {
-				slot := &outs[(pi*len(scenarios)+si)*len(replicaCounts)+ri]
-				cells = append(cells, Cell{
-					Key: fmt.Sprintf("checkpoint/path=%s/crash=%s/replicas=%d", path.label, sc.label, reps),
-					Run: func() {
-						o.logf("checkpoint: path=%s crash=%s replicas=%d", path.label, sc.label, reps)
-						cr := o.runCheckpoint(prog, reps, path.bcfg, sc.sch)
-						stall, drain, recover := "-", "-", "-"
-						if path.bcfg != nil {
-							stall = msec(cr.stats.Stall)
-							if cr.stats.DrainOps > 0 {
-								drain = msec(cr.stats.DrainLag / time.Duration(cr.stats.DrainOps))
-							}
-							recover = msec(cr.recovery)
-							if cr.recoveryErr != nil {
-								recover = "ERR"
-								slot.notes = append(slot.notes, fmt.Sprintf(
-									"path=%s crash=%s replicas=%d recovery: %v", path.label, sc.label, reps, cr.recoveryErr))
-							}
-						}
-						restart := secs(cr.restart.elapsed)
-						switch {
-						case errors.Is(cr.restartErr, burst.ErrNoCommittedEpoch):
-							restart = "no-epoch"
-						case cr.restartErr != nil:
-							restart = "ERR"
-							slot.notes = append(slot.notes, fmt.Sprintf(
-								"path=%s crash=%s replicas=%d restart: %v", path.label, sc.label, reps, cr.restartErr))
-						}
-						oracle := "ok"
-						if err := VerifyIntegrity(cr.cl); err != nil {
-							oracle = "FAIL: " + err.Error()
-						}
-						slot.row = []string{path.label, sc.label, fmt.Sprintf("%d", reps),
-							fmt.Sprintf("%d", cr.committed), fmt.Sprintf("%d", prog.Epochs-cr.committed),
-							secs(cr.main.ioTime), stall, drain, recover, restart, oracle}
-					},
-				})
+	var cells []cell
+	var keys []string
+	for _, path := range paths {
+		for _, sc := range scenarios {
+			for _, reps := range replicaCounts {
+				cells = append(cells, cell{path.label, sc.label, path.bcfg, sc.sch, reps})
+				keys = append(keys, fmt.Sprintf("checkpoint/path=%s/crash=%s/replicas=%d", path.label, sc.label, reps))
 			}
 		}
 	}
-	runSweep(o, cells)
-	for _, out := range outs {
-		res.Notes = append(res.Notes, out.notes...)
-		res.Table.AddRow(out.row...)
-	}
+	res.addRows(sweep(o, keys, func(o Opts, i int) tableRow {
+		c := cells[i]
+		o.logf("checkpoint: path=%s crash=%s replicas=%d", c.path, c.crash, c.reps)
+		cr := o.runCheckpoint(prog, c.reps, c.bcfg, c.sch)
+		var out tableRow
+		stall, drain, recover := "-", "-", "-"
+		if c.bcfg != nil {
+			stall = msec(cr.stats.Stall)
+			if cr.stats.DrainOps > 0 {
+				drain = msec(cr.stats.DrainLag / time.Duration(cr.stats.DrainOps))
+			}
+			recover = msec(cr.recovery)
+			if cr.recoveryErr != nil {
+				recover = "ERR"
+				out.notes = append(out.notes, fmt.Sprintf(
+					"path=%s crash=%s replicas=%d recovery: %v", c.path, c.crash, c.reps, cr.recoveryErr))
+			}
+		}
+		restart := secs(cr.restart.elapsed)
+		switch {
+		case errors.Is(cr.restartErr, burst.ErrNoCommittedEpoch):
+			restart = "no-epoch"
+		case cr.restartErr != nil:
+			restart = "ERR"
+			out.notes = append(out.notes, fmt.Sprintf(
+				"path=%s crash=%s replicas=%d restart: %v", c.path, c.crash, c.reps, cr.restartErr))
+		}
+		oracle := "ok"
+		if err := VerifyIntegrity(cr.cl); err != nil {
+			oracle = "FAIL: " + err.Error()
+		}
+		out.row = []string{c.path, c.crash, fmt.Sprintf("%d", c.reps),
+			fmt.Sprintf("%d", cr.committed), fmt.Sprintf("%d", prog.Epochs-cr.committed),
+			secs(cr.main.ioTime), stall, drain, recover, restart, oracle}
+		return out
+	}))
 	return res
 }

@@ -33,6 +33,25 @@ func renderResult(res *Result) string {
 	return b.String()
 }
 
+// paperSuite runs the paper's eleven figures and tables — the experiment
+// list's fig* and table* entries — as one sweep, so under Parallel != 1
+// the experiments run concurrently as well as their cells.
+func paperSuite(t *testing.T, o Opts) []*Result {
+	t.Helper()
+	var paper []Experiment
+	var keys []string
+	for _, e := range Experiments {
+		if strings.HasPrefix(e.ID, "fig") || strings.HasPrefix(e.ID, "table") {
+			paper = append(paper, e)
+			keys = append(keys, "all/"+e.ID)
+		}
+	}
+	if len(paper) != 11 {
+		t.Fatalf("experiment list holds %d paper experiments, want 11", len(paper))
+	}
+	return sweep(o, keys, func(o Opts, i int) *Result { return paper[i].Run(o) })
+}
+
 // TestAllParallelMatchesSerial is the determinism golden test for the
 // sweep engine: every paper experiment run with four workers must render
 // byte-identically to the serial path. ~2x the quick suite, so skipped
@@ -41,8 +60,8 @@ func TestAllParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suite twice; skipped with -short")
 	}
-	serial := All(Opts{Quick: true, Parallel: 1, Log: io.Discard})
-	par := All(Opts{Quick: true, Parallel: 4, Log: io.Discard})
+	serial := paperSuite(t, Opts{Quick: true, Parallel: 1, Log: io.Discard})
+	par := paperSuite(t, Opts{Quick: true, Parallel: 4, Log: io.Discard})
 	if len(serial) != len(par) {
 		t.Fatalf("result counts differ: serial %d, parallel %d", len(serial), len(par))
 	}

@@ -16,12 +16,10 @@ import (
 // time series for vanilla and DualPar runs plus the mode-switch log.
 func Fig7(o Opts) *Result {
 	res := &Result{
-		ID:    "fig7",
 		Title: "Fig 7: varying workload — hpio joins a running mpi-io-test",
 		Table: &metrics.Table{Header: []string{"scheme", "before_join_MB/s", "after_join_MB/s", "after_seek_sectors", "switched"}},
 	}
 	res.note("paper: alone ~178 MB/s in both; after hpio joins, vanilla drops from interference while DualPar recovers +46%% and seeks shrink")
-	o = o.forSweep()
 
 	size := int64(192 << 20)
 	hpioRegions := int64(3072)
@@ -29,84 +27,77 @@ func Fig7(o Opts) *Result {
 		size = 32 << 20
 		hpioRegions = 512
 	}
-	schemes := []struct {
-		label string
-		mode  core.Mode
-	}{{"vanilla", core.ModeVanilla}, {"dualpar", core.ModeDualPar}}
+	schemes := []scheme{{"vanilla", core.ModeVanilla}, {"dualpar", core.ModeDualPar}}
 	type out struct {
 		tp, seek *metrics.Series
 		row      []string
 	}
-	outs := make([]out, len(schemes))
-	cells := make([]Cell, len(schemes))
-	for ci, sch := range schemes {
-		cells[ci] = Cell{Key: "fig7/" + sch.label, Run: func() {
-			m := workloads.DefaultMPIIOTest()
-			m.FileBytes = size
-			m.FileName = "fig7-mpiio.dat"
-			m.BarrierEvery = 8 // mpi-io-test syncs, but not so often that the scaled run stops being I/O bound
-			h := workloads.DefaultHPIO()
-			h.RegionCount = hpioRegions
-			h.FileName = "fig7-hpio.dat"
+	outs := sweep(o, []string{"fig7/vanilla", "fig7/dualpar"}, func(o Opts, i int) out {
+		sch := schemes[i]
+		m := workloads.DefaultMPIIOTest()
+		m.FileBytes = size
+		m.FileName = "fig7-mpiio.dat"
+		m.BarrierEvery = 8 // mpi-io-test syncs, but not so often that the scaled run stops being I/O bound
+		h := workloads.DefaultHPIO()
+		h.RegionCount = hpioRegions
+		h.FileName = "fig7-hpio.dat"
 
-			// Estimate the join time as ~40% of the solo run; the paper joins
-			// at the 50th second of a ~150 s run. The EMC slot scales with the
-			// run so the scaled-down experiment samples as often, relatively,
-			// as the paper's 1 s slot did in its ~150 s run.
-			soloEstimate := estimateSolo(o, m)
-			joinAt := soloEstimate * 2 / 5
-			cl := o.paperCluster(false)
-			ddCfg := core.DefaultConfig()
-			// Slots must be long enough that the seek/request statistics carry
-			// a meaningful sample count (the paper's 1 s slot on a ~150 s run).
-			ddCfg.SlotEvery = soloEstimate / 8
-			if ddCfg.SlotEvery < 100*time.Millisecond {
-				ddCfg.SlotEvery = 100 * time.Millisecond
+		// Estimate the join time as ~40% of the solo run; the paper joins
+		// at the 50th second of a ~150 s run. The EMC slot scales with the
+		// run so the scaled-down experiment samples as often, relatively,
+		// as the paper's 1 s slot did in its ~150 s run.
+		soloEstimate := estimateSolo(o, m)
+		joinAt := soloEstimate * 2 / 5
+		cl := o.paperCluster(false)
+		ddCfg := core.DefaultConfig()
+		// Slots must be long enough that the seek/request statistics carry
+		// a meaningful sample count (the paper's 1 s slot on a ~150 s run).
+		ddCfg.SlotEvery = soloEstimate / 8
+		if ddCfg.SlotEvery < 100*time.Millisecond {
+			ddCfg.SlotEvery = 100 * time.Millisecond
+		}
+		if ddCfg.SlotEvery > time.Second {
+			ddCfg.SlotEvery = time.Second
+		}
+		// Throughput and seek-distance series sampled during the run.
+		window := soloEstimate / 40
+		if window < 50*time.Millisecond {
+			window = 50 * time.Millisecond
+		}
+		until := soloEstimate * 4
+		var lastBytes int64
+		tp := metrics.Sample(cl.K, "throughput-"+sch.label, window, until, func() float64 {
+			s := cl.ServerStats()
+			cur := s.BytesRead + s.BytesWritten
+			d := cur - lastBytes
+			lastBytes = cur
+			return float64(d) / (1 << 20) / window.Seconds()
+		})
+		var lastSeek, lastAcc int64
+		seek := metrics.Sample(cl.K, "seekdist-"+sch.label, window, until, func() float64 {
+			s := cl.ServerStats()
+			dSeek, dAcc := s.SeekSectors-lastSeek, s.Accesses-lastAcc
+			lastSeek, lastAcc = s.SeekSectors, s.Accesses
+			if dAcc == 0 {
+				return 0
 			}
-			if ddCfg.SlotEvery > time.Second {
-				ddCfg.SlotEvery = time.Second
-			}
-			// Throughput and seek-distance series sampled during the run.
-			window := soloEstimate / 40
-			if window < 50*time.Millisecond {
-				window = 50 * time.Millisecond
-			}
-			until := soloEstimate * 4
-			var lastBytes int64
-			tp := metrics.Sample(cl.K, "throughput-"+sch.label, window, until, func() float64 {
-				s := cl.ServerStats()
-				cur := s.BytesRead + s.BytesWritten
-				d := cur - lastBytes
-				lastBytes = cur
-				return float64(d) / (1 << 20) / window.Seconds()
-			})
-			var lastSeek, lastAcc int64
-			seek := metrics.Sample(cl.K, "seekdist-"+sch.label, window, until, func() float64 {
-				s := cl.ServerStats()
-				dSeek, dAcc := s.SeekSectors-lastSeek, s.Accesses-lastAcc
-				lastSeek, lastAcc = s.SeekSectors, s.Accesses
-				if dAcc == 0 {
-					return 0
-				}
-				return float64(dSeek) / float64(dAcc)
-			})
-			ms, _ := o.executeOn(cl, 12*time.Hour, ddCfg, []runSpec{
-				{prog: m, mode: sch.mode},
-				{prog: h, mode: sch.mode, startAt: joinAt},
-			})
-			p1, p2 := ms[0].run, ms[1].run
-			end1 := p1.EndedAt
-			before := tp.Window(0, joinAt)
-			after := tp.Window(joinAt, end1)
-			seekAfter := seek.Window(joinAt, end1)
-			switched := len(p1.ModeSwitches)+len(p2.ModeSwitches) > 0
-			outs[ci] = out{tp: tp, seek: seek, row: []string{sch.label, mb(before), mb(after),
-				fmt.Sprintf("%.0f", seekAfter), fmt.Sprintf("%v", switched)}}
-			o.logf("fig7 %s: before=%.1f after=%.1f MB/s, seek=%.0f, switches p1=%d p2=%d (join at %.1fs)",
-				sch.label, before, after, seekAfter, len(p1.ModeSwitches), len(p2.ModeSwitches), joinAt.Seconds())
-		}}
-	}
-	runSweep(o, cells)
+			return float64(dSeek) / float64(dAcc)
+		})
+		ms, _ := o.executeOn(cl, 12*time.Hour, ddCfg, []runSpec{
+			{prog: m, mode: sch.mode},
+			{prog: h, mode: sch.mode, startAt: joinAt},
+		})
+		p1, p2 := ms[0].run, ms[1].run
+		end1 := p1.EndedAt
+		before := tp.Window(0, joinAt)
+		after := tp.Window(joinAt, end1)
+		seekAfter := seek.Window(joinAt, end1)
+		switched := len(p1.ModeSwitches)+len(p2.ModeSwitches) > 0
+		o.logf("fig7 %s: before=%.1f after=%.1f MB/s, seek=%.0f, switches p1=%d p2=%d (join at %.1fs)",
+			sch.label, before, after, seekAfter, len(p1.ModeSwitches), len(p2.ModeSwitches), joinAt.Seconds())
+		return out{tp: tp, seek: seek, row: []string{sch.label, mb(before), mb(after),
+			fmt.Sprintf("%.0f", seekAfter), fmt.Sprintf("%v", switched)}}
+	})
 	for _, out := range outs {
 		res.Series = append(res.Series, out.tp, out.seek)
 		res.Table.AddRow(out.row...)
@@ -126,12 +117,10 @@ func estimateSolo(o Opts, m workloads.MPIIOTest) time.Duration {
 // grows from 0 (DualPar disabled) to 1 MB.
 func Fig8(o Opts) *Result {
 	res := &Result{
-		ID:    "fig8",
 		Title: "Fig 8: BTIO system throughput (MB/s) vs per-process cache size",
 		Table: &metrics.Table{Header: []string{"cache_kb", "throughput_MBs"}},
 	}
 	res.note("paper: 0 KB equals vanilla (~2.7 MB/s); 64 KB is ~43x better; returns diminish beyond a few hundred KB")
-	o = o.forSweep()
 	b := workloads.DefaultBTIO()
 	b.TotalBytes = 8 << 20
 	b.Steps = 2
@@ -141,27 +130,22 @@ func Fig8(o Opts) *Result {
 		b.TotalBytes = 2 << 20
 		sizes = []int64{0, 64 << 10, 1 << 20}
 	}
-	vals := make([]string, len(sizes))
-	cells := make([]Cell, len(sizes))
+	keys := make([]string, len(sizes))
 	for i, cacheB := range sizes {
-		cells[i] = Cell{
-			Key: fmt.Sprintf("fig8/cache=%dKB", cacheB>>10),
-			Run: func() {
-				cfg := core.DefaultConfig()
-				mode := core.ModeDataDriven
-				if cacheB == 0 {
-					mode = core.ModeVanilla // zero quota disables DualPar entirely
-				} else {
-					cfg.CacheQuotaBytes = cacheB
-				}
-				ms, _ := o.execute(false, 12*time.Hour, cfg,
-					[]runSpec{{prog: b, mode: mode}})
-				vals[i] = mb(ms[0].throughputMBs())
-				o.logf("fig8 cache=%dKB: %.2f MB/s", cacheB>>10, ms[0].throughputMBs())
-			},
-		}
+		keys[i] = fmt.Sprintf("fig8/cache=%dKB", cacheB>>10)
 	}
-	runSweep(o, cells)
+	vals := sweep(o, keys, func(o Opts, i int) string {
+		cfg := core.DefaultConfig()
+		mode := core.ModeDataDriven
+		if sizes[i] == 0 {
+			mode = core.ModeVanilla // zero quota disables DualPar entirely
+		} else {
+			cfg.CacheQuotaBytes = sizes[i]
+		}
+		ms, _ := o.execute(false, 12*time.Hour, cfg, []runSpec{{prog: b, mode: mode}})
+		o.logf("fig8 cache=%dKB: %.2f MB/s", sizes[i]>>10, ms[0].throughputMBs())
+		return mb(ms[0].throughputMBs())
+	})
 	for i, cacheB := range sizes {
 		res.Table.AddRow(fmt.Sprintf("%d", cacheB>>10), vals[i])
 	}
@@ -174,7 +158,6 @@ func Fig8(o Opts) *Result {
 // remains.
 func Table3(o Opts) *Result {
 	res := &Result{
-		ID:    "table3",
 		Title: "Table III: execution time (s) of an unpredictable program, with/without DualPar",
 		Table: &metrics.Table{Header: []string{"cache_mb", "no_dualpar_s", "dualpar_s", "overhead_%"}},
 	}
@@ -182,7 +165,6 @@ func Table3(o Opts) *Result {
 	// The paper reads 2 GB with data-dependent addresses; the wasted
 	// prefetching is a fixed few-cycle cost, so the baseline volume must be
 	// kept at paper scale for the overhead percentage to be comparable.
-	o = o.forSweep()
 	d := workloads.DefaultDependentReader()
 	d.Procs = 16
 	d.FileBytes = 2 << 30
@@ -197,30 +179,21 @@ func Table3(o Opts) *Result {
 	}
 	// Cell 0 is the vanilla baseline; the per-cache overheads against it are
 	// computed at assembly, after every cell has finished.
-	var base time.Duration
-	elapsed := make([]time.Duration, len(caches))
-	cells := []Cell{{
-		Key: "table3/base",
-		Run: func() {
-			ms, _ := o.execute(false, 12*time.Hour, core.DefaultConfig(),
-				[]runSpec{{prog: d, mode: core.ModeVanilla}})
-			base = ms[0].elapsed
-		},
-	}}
-	for i, cacheB := range caches {
-		cells = append(cells, Cell{
-			Key: fmt.Sprintf("table3/cache=%dMB", cacheB>>20),
-			Run: func() {
-				cfg := core.DefaultConfig()
-				cfg.CacheQuotaBytes = cacheB
-				cfg.SlotEvery = 250 * time.Millisecond
-				ms, _ := o.execute(false, 12*time.Hour, cfg,
-					[]runSpec{{prog: d, mode: core.ModeDataDriven}})
-				elapsed[i] = ms[0].elapsed
-			},
-		})
+	keys := []string{"table3/base"}
+	for _, cacheB := range caches {
+		keys = append(keys, fmt.Sprintf("table3/cache=%dMB", cacheB>>20))
 	}
-	runSweep(o, cells)
+	times := sweep(o, keys, func(o Opts, i int) time.Duration {
+		cfg, mode := core.DefaultConfig(), core.ModeVanilla
+		if i > 0 {
+			cfg.CacheQuotaBytes = caches[i-1]
+			cfg.SlotEvery = 250 * time.Millisecond
+			mode = core.ModeDataDriven
+		}
+		ms, _ := o.execute(false, 12*time.Hour, cfg, []runSpec{{prog: d, mode: mode}})
+		return ms[0].elapsed
+	})
+	base, elapsed := times[0], times[1:]
 	for i, cacheB := range caches {
 		overhead := (elapsed[i].Seconds() - base.Seconds()) / base.Seconds() * 100
 		res.Table.AddRow(fmt.Sprintf("%d", cacheB>>20), secs(base), secs(elapsed[i]),
@@ -229,27 +202,4 @@ func Table3(o Opts) *Result {
 			cacheB>>20, base.Seconds(), elapsed[i].Seconds(), overhead)
 	}
 	return res
-}
-
-// All runs every experiment in paper order. Under Opts.Parallel != 1 the
-// experiments themselves run concurrently (each also parallelizes its own
-// cells); the returned slice is always in paper order with tables
-// byte-identical to a serial run.
-func All(o Opts) []*Result {
-	o = o.forSweep()
-	drivers := []struct {
-		name string
-		fn   func(Opts) *Result
-	}{
-		{"fig1a", Fig1a}, {"fig1b", Fig1b}, {"fig1cd", Fig1cd},
-		{"fig3", Fig3}, {"fig4", Fig4}, {"fig5", Fig5},
-		{"table2", Table2}, {"fig6", Fig6}, {"fig7", Fig7}, {"fig8", Fig8}, {"table3", Table3},
-	}
-	out := make([]*Result, len(drivers))
-	cells := make([]Cell, len(drivers))
-	for i, d := range drivers {
-		cells[i] = Cell{Key: "all/" + d.name, Run: func() { out[i] = d.fn(o) }}
-	}
-	runSweep(o, cells)
-	return out
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"time"
 
 	"dualpar/internal/cluster"
@@ -71,8 +72,41 @@ func (o Opts) logf(format string, args ...interface{}) {
 	}
 }
 
+// Experiment is one entry of the experiment list.
+type Experiment struct {
+	// ID names the experiment on the command line and in CSV file names.
+	ID  string
+	run func(Opts) *Result
+}
+
+// Run executes the experiment and stamps its ID on the result.
+func (e Experiment) Run(o Opts) *Result {
+	res := e.run(o)
+	res.ID = e.ID
+	return res
+}
+
+// Experiments is every experiment in paper order: the §II and §V figures
+// and tables, the ablations, then the beyond-paper experiments.
+var Experiments = []Experiment{
+	{"fig1a", Fig1a}, {"fig1b", Fig1b}, {"fig1cd", Fig1cd},
+	{"fig3", Fig3}, {"fig4", Fig4}, {"fig5", Fig5},
+	{"table2", Table2}, {"fig6", Fig6}, {"fig7", Fig7}, {"fig8", Fig8}, {"table3", Table3},
+
+	{"ablate-sched", AblateScheduler}, {"ablate-t", AblateTImprovement},
+	{"ablate-hole", AblateHoleThreshold}, {"ablate-chunk", AblateChunkSize},
+	{"ablate-origins", AblateDiskOrigins}, {"ablate-cb", AblateCollectiveBuffer},
+	{"ablate-ssd", AblateSSD}, {"ablate-writepath", AblateWritePath},
+	{"ablate-s2window", AblateStrategy2Window}, {"ablate-servers", AblateServers},
+	{"ablate-pipeline", AblatePipeline},
+
+	{"straggler", Straggler}, {"availability", Availability},
+	{"checkpoint", Checkpoint}, {"multitenant", Multitenant}, {"engines", Engines},
+}
+
 // Result is one regenerated table or figure.
 type Result struct {
+	// ID is the experiment's list ID, set by Experiment.Run.
 	ID    string
 	Title string
 	// Table holds the regenerated rows (most experiments).
@@ -147,34 +181,24 @@ func (o Opts) executeFaults(maxTime time.Duration, ddCfg core.Config, sch *fault
 	return o.executeOn(cluster.New(cfg), maxTime, ddCfg, specs)
 }
 
-// executeOn runs specs on cl with the Opts' audit and report settings
-// applied.
+// executeOn runs specs on cl through runOn and measures each program.
 func (o Opts) executeOn(cl *cluster.Cluster, maxTime time.Duration, ddCfg core.Config, specs []runSpec) ([]measured, *cluster.Cluster) {
-	if o.Audit {
-		ddCfg.Audit = true
-	}
-	var reportCol *obs.Collector
-	if o.Reports != nil && cl.Obs() == nil {
-		reportCol = obs.NewCollector()
-		cl.EnableObs(reportCol)
-	}
-	r := core.NewRunner(cl, ddCfg)
-	var runs []*core.ProgramRun
+	var desc strings.Builder
 	for _, sp := range specs {
-		runs = append(runs, r.Add(sp.prog, sp.mode, core.AddOptions{
-			RanksPerNode:   8,
-			FirstNodeIndex: sp.nodeOff,
-			StartAt:        sp.startAt,
-			MPIIO:          sp.mpiio,
-		}))
+		fmt.Fprintf(&desc, "|%s/%s/r%d/off%d/at%s",
+			sp.prog.Name(), sp.mode, sp.prog.Ranks(), sp.nodeOff, sp.startAt)
 	}
-	r.Run(maxTime)
-	if err := r.AuditErr(); err != nil {
-		panic(err)
-	}
-	if reportCol != nil {
-		o.Reports.record(reportKey(cl, specs, reportCol), reportCol)
-	}
+	runs := make([]*core.ProgramRun, len(specs))
+	o.runOn(cl, maxTime, ddCfg, desc.String(), func(r *core.Runner) {
+		for i, sp := range specs {
+			runs[i] = r.Add(sp.prog, sp.mode, core.AddOptions{
+				RanksPerNode:   8,
+				FirstNodeIndex: sp.nodeOff,
+				StartAt:        sp.startAt,
+				MPIIO:          sp.mpiio,
+			})
+		}
+	})
 	out := make([]measured, len(specs))
 	for i, pr := range runs {
 		var io time.Duration
@@ -190,6 +214,33 @@ func (o Opts) executeOn(cl *cluster.Cluster, maxTime time.Duration, ddCfg core.C
 		}
 	}
 	return out, cl
+}
+
+// runOn is the run path every experiment run takes. It arms the audit
+// oracles when Opts.Audit is set and a report collector when Opts.Reports
+// is, lets add place the programs on a fresh runner, runs it to maxTime,
+// panics on a violated invariant, and records the run's report under a key
+// built from desc (see reportKey). It reports whether every program
+// finished.
+func (o Opts) runOn(cl *cluster.Cluster, maxTime time.Duration, ddCfg core.Config, desc string, add func(*core.Runner)) bool {
+	if o.Audit {
+		ddCfg.Audit = true
+	}
+	var reportCol *obs.Collector
+	if o.Reports != nil && cl.Obs() == nil {
+		reportCol = obs.NewCollector()
+		cl.EnableObs(reportCol)
+	}
+	r := core.NewRunner(cl, ddCfg)
+	add(r)
+	finished := r.Run(maxTime)
+	if err := r.AuditErr(); err != nil {
+		panic(err)
+	}
+	if reportCol != nil {
+		o.Reports.record(reportKey(cl, desc, reportCol), reportCol)
+	}
+	return finished
 }
 
 // aggThroughputMBs is the combined volume of all programs over the time to
@@ -216,12 +267,57 @@ func mb(v float64) string { return fmt.Sprintf("%.1f", v) }
 // secs formats a duration cell.
 func secs(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()) }
 
-// modes under comparison in most experiments.
-var threeSchemes = []struct {
+// scheme is one labelled execution mode under comparison.
+type scheme struct {
 	label string
 	mode  core.Mode
-}{
+}
+
+// modes under comparison in most experiments.
+var threeSchemes = []scheme{
 	{"vanilla", core.ModeVanilla},
 	{"collective", core.ModeCollective},
 	{"dualpar", core.ModeDataDriven},
+}
+
+// vanillaDualPar is threeSchemes without collective I/O.
+var vanillaDualPar = []scheme{threeSchemes[0], threeSchemes[2]}
+
+// schemeSweep runs one cell per row of rowKeys under each of threeSchemes
+// and returns each row's cell values in scheme order. run gets the row's
+// index; cell keys are "<rowKey>/<scheme label>".
+func schemeSweep(o Opts, rowKeys []string, run func(o Opts, row int, sch scheme) string) [][]string {
+	n := len(threeSchemes)
+	var keys []string
+	for _, rk := range rowKeys {
+		for _, sch := range threeSchemes {
+			keys = append(keys, rk+"/"+sch.label)
+		}
+	}
+	vals := sweep(o, keys, func(o Opts, i int) string { return run(o, i/n, threeSchemes[i%n]) })
+	rows := make([][]string, len(rowKeys))
+	for r := range rows {
+		rows[r] = vals[r*n : (r+1)*n]
+	}
+	return rows
+}
+
+// readWrite is the direction axis of the read/write sweeps.
+var readWrite = []struct {
+	label string
+	write bool
+}{{"read", false}, {"write", true}}
+
+// tableRow is one sweep cell's table row plus the notes it raised.
+type tableRow struct {
+	row   []string
+	notes []string
+}
+
+// addRows appends each cell's notes, then its row, in cell order.
+func (r *Result) addRows(rows []tableRow) {
+	for _, tr := range rows {
+		r.Notes = append(r.Notes, tr.notes...)
+		r.Table.AddRow(tr.row...)
+	}
 }

@@ -47,20 +47,19 @@ type mixOut struct {
 }
 
 // runTenantMix executes the full generated schedule for tc on one shared
-// tenanted cluster (see core.Runner.AddSchedule).
+// tenanted cluster (see core.Runner.AddSchedule), through the run path
+// every other experiment run takes.
 func (o Opts) runTenantMix(tc tenant.Config) *mixOut {
 	cfg := o.clusterConfig()
 	cfg.Tenancy = &tc
 	cl := cluster.New(cfg)
 	ddCfg := core.DefaultConfig()
 	ddCfg.SlotEvery = core.TenantSlot
-	ddCfg.Audit = o.Audit
-	r := core.NewRunner(cl, ddCfg)
-	sched, runs := r.AddSchedule(o.jobScale())
-	finished := r.Run(30 * time.Minute)
-	if err := r.AuditErr(); err != nil {
-		panic(err)
-	}
+	var sched []tenant.Job
+	var runs []*core.ProgramRun
+	finished := o.runOn(cl, 30*time.Minute, ddCfg, "|tenancy="+tc.String(), func(r *core.Runner) {
+		sched, runs = r.AddSchedule(o.jobScale())
+	})
 	out := &mixOut{cl: cl, finished: finished}
 	for i, pr := range runs {
 		if pr == nil {
@@ -275,7 +274,6 @@ func multitenantSpecs(quick bool) []string {
 // simultaneously running jobs.
 func Multitenant(o Opts) *Result {
 	res := &Result{
-		ID:    "multitenant",
 		Title: "Multi-tenant shared cluster: arrival x policy x tenants under the grant arbiter",
 		Table: &metrics.Table{Header: []string{
 			"policy", "arrival", "tenants", "jobs", "peak", "agg_mbs",
@@ -289,46 +287,33 @@ func Multitenant(o Opts) *Result {
 		msec(base[soloKey{"m", "dualpar"}]), msec(base[soloKey{"m", "vanilla"}]),
 		msec(base[soloKey{"l", "dualpar"}]), msec(base[soloKey{"l", "vanilla"}]))
 
-	o = o.forSweep()
-	type cellOut struct {
-		row   []string
-		notes []string
+	keys := make([]string, len(specs))
+	for i, spec := range specs {
+		keys[i] = "multitenant/" + spec
 	}
-	outs := make([]cellOut, len(specs))
-	var cells []Cell
-	for ci, spec := range specs {
-		slot := &outs[ci]
-		spec := spec
-		cells = append(cells, Cell{
-			Key: "multitenant/" + spec,
-			Run: func() {
-				tc, err := tenant.ParseSpec(spec)
-				if err != nil {
-					panic(err)
-				}
-				tc.Seed = o.seed()
-				o.logf("multitenant: %s", spec)
-				out := o.runTenantMix(tc)
-				st := summarize(out, base, tc.Tenants)
-				if st.unfinished > 0 {
-					slot.notes = append(slot.notes, fmt.Sprintf(
-						"%s: %d of %d jobs did not finish in budget", spec, st.unfinished, st.jobs))
-				}
-				slot.row = []string{
-					string(tc.Policy), tc.Arrival.String(), fmt.Sprintf("%d", tc.Tenants),
-					fmt.Sprintf("%d", st.jobs), fmt.Sprintf("%d", st.peak), mb(st.aggMBs),
-					fmt.Sprintf("%.2f", st.meanStretch), fmt.Sprintf("%.2f", st.worstP99),
-					fmt.Sprintf("%.3f", st.jain),
-					fmt.Sprintf("%d", out.grants), fmt.Sprintf("%d", out.denies),
-					fmt.Sprintf("%d", out.revokes),
-				}
-			},
-		})
-	}
-	runSweep(o, cells)
-	for _, out := range outs {
-		res.Notes = append(res.Notes, out.notes...)
-		res.Table.AddRow(out.row...)
-	}
+	res.addRows(sweep(o, keys, func(o Opts, i int) tableRow {
+		tc, err := tenant.ParseSpec(specs[i])
+		if err != nil {
+			panic(err)
+		}
+		tc.Seed = o.seed()
+		o.logf("multitenant: %s", specs[i])
+		out := o.runTenantMix(tc)
+		st := summarize(out, base, tc.Tenants)
+		var tr tableRow
+		if st.unfinished > 0 {
+			tr.notes = []string{fmt.Sprintf(
+				"%s: %d of %d jobs did not finish in budget", specs[i], st.unfinished, st.jobs)}
+		}
+		tr.row = []string{
+			string(tc.Policy), tc.Arrival.String(), fmt.Sprintf("%d", tc.Tenants),
+			fmt.Sprintf("%d", st.jobs), fmt.Sprintf("%d", st.peak), mb(st.aggMBs),
+			fmt.Sprintf("%.2f", st.meanStretch), fmt.Sprintf("%.2f", st.worstP99),
+			fmt.Sprintf("%.3f", st.jain),
+			fmt.Sprintf("%d", out.grants), fmt.Sprintf("%d", out.denies),
+			fmt.Sprintf("%d", out.revokes),
+		}
+		return tr
+	}))
 	return res
 }

@@ -12,15 +12,16 @@ import (
 // The sweep engine: experiments are sweeps over independent cells (one
 // simulated cluster per cell, seeded identically to the serial path), so the
 // cells can run concurrently across GOMAXPROCS workers. Determinism is
-// preserved structurally rather than by luck: every cell writes only into
-// its own pre-assigned slot, and the experiment assembles rows, series, and
-// notes from the slots in canonical order after the sweep — so the emitted
-// tables are byte-identical whatever the interleaving. Only the progress
-// log (stderr) may interleave differently under parallelism.
+// preserved structurally rather than by luck: a cell returns its outcome,
+// sweep stores it in the cell's own element, and the experiment assembles
+// rows, series, and notes from those values in canonical order after the
+// sweep — so the emitted tables are byte-identical whatever the
+// interleaving. Only the progress log (stderr) may interleave differently
+// under parallelism.
 
 // Cell is one independent unit of a sweep: a keyed closure that runs a
 // self-contained simulation and stores its outcome in storage owned by the
-// cell (typically a slot in a results slice sized before the sweep).
+// cell (sweep gives each cell one element of its result slice).
 type Cell struct {
 	// Key names the cell in errors and panics, e.g. "fig3/read/dualpar".
 	Key string
@@ -127,13 +128,23 @@ func RunCells(ctx context.Context, workers int, cells []Cell) error {
 	return nil
 }
 
-// runSweep is the experiments' entry into the pool: it executes cells with
-// the Opts' parallelism and re-raises a cell failure as a panic, matching
-// the serial path's fail-fast behavior inside a driver.
-func runSweep(o Opts, cells []Cell) {
+// sweep is the experiments' entry into the pool: it runs run(o, i) for
+// each key as one cell, with the Opts' parallelism and a log writer safe to
+// share between cells, and returns the cells' values in key order. Each
+// cell's value lands in its own element, so the result cannot depend on
+// scheduling. A cell failure re-panics as its *CellError, matching the
+// serial path's fail-fast behavior inside a driver.
+func sweep[T any](o Opts, keys []string, run func(o Opts, i int) T) []T {
+	o = o.forSweep()
+	outs := make([]T, len(keys))
+	cells := make([]Cell, len(keys))
+	for i, key := range keys {
+		cells[i] = Cell{Key: key, Run: func() { outs[i] = run(o, i) }}
+	}
 	if err := RunCells(o.Ctx, o.parallel(), cells); err != nil {
 		panic(err)
 	}
+	return outs
 }
 
 // syncWriter serializes writes from concurrent sweep cells onto one
@@ -151,8 +162,8 @@ func (s *syncWriter) Write(b []byte) (int, error) {
 }
 
 // forSweep returns a copy of o whose log writer is safe to share between
-// concurrent cells. It is idempotent, so nested sweeps (All over
-// experiments over cells) layer a single lock.
+// concurrent cells. It is idempotent, so nested sweeps (a suite sweep over
+// experiments that each sweep their cells) layer a single lock.
 func (o Opts) forSweep() Opts {
 	if o.Log == nil {
 		return o

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -25,20 +26,17 @@ type ReportSink struct {
 	reports map[string]*analyze.Report
 }
 
-// reportKey names a run by the spec the harness can see — cluster seed plus
-// each program's identity, mode, placement, and start — and a fingerprint of
-// the recorded timeline itself. The spec alone is not unique (sweeps rerun
-// the same program with different workload internals or core configs), so
-// the span hash does the disambiguation: runs with equal keys recorded
-// byte-identical timelines and therefore interchangeable reports, keeping
-// Drain independent of which concurrent cell stored last.
-func reportKey(cl *cluster.Cluster, specs []runSpec, col *obs.Collector) string {
+// reportKey names a run by what the harness can see — the cluster seed plus
+// desc, the run's description (each program's identity, mode, placement
+// and start, or a tenant mix's tenancy spec) — and a fingerprint of the
+// recorded timeline itself. The description alone is not unique (sweeps
+// rerun the same program with different workload internals or core
+// configs), so the span hash does the disambiguation: runs with equal keys
+// recorded byte-identical timelines and therefore interchangeable reports,
+// keeping Drain independent of which concurrent cell stored last.
+func reportKey(cl *cluster.Cluster, desc string, col *obs.Collector) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "seed=%d", cl.Config().Seed)
-	for _, sp := range specs {
-		fmt.Fprintf(&b, "|%s/%s/r%d/off%d/at%s",
-			sp.prog.Name(), sp.mode, sp.prog.Ranks(), sp.nodeOff, sp.startAt)
-	}
+	fmt.Fprintf(&b, "seed=%d%s", cl.Config().Seed, desc)
 	h := fnv.New64a()
 	for _, s := range col.Spans() {
 		fmt.Fprintf(h, "%d/%s/%s/%d/%d;", s.ID, s.Stage, s.Track, s.Start, s.End)
@@ -71,4 +69,24 @@ func (s *ReportSink) Drain() []RunReport {
 	s.reports = nil
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
+}
+
+// Render drains the sink and writes each report in key order as a
+// "== report: KEY ==" header, its text rendering and a blank line. It
+// returns the first write error, or else an error naming the first run
+// whose attribution violates conservation.
+func (s *ReportSink) Render(w io.Writer) error {
+	var bad error
+	for _, rr := range s.Drain() {
+		fmt.Fprintf(w, "== report: %s ==\n", rr.Key)
+		if err := rr.Report.RenderText(w); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+		if !rr.Report.Conserved() && bad == nil {
+			bad = fmt.Errorf("run %s: attribution violates conservation (max residual %dns)",
+				rr.Key, int64(rr.Report.MaxResidual))
+		}
+	}
+	return bad
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -18,24 +17,16 @@ func fig1aReports(t *testing.T, parallel int) string {
 	return renderReports(t, sink)
 }
 
-// renderReports drains sink and renders its reports the way
-// cmd/experiments prints them, checking each conserves time.
+// renderReports renders sink the way cmd/experiments prints it, failing
+// the test when a run does not conserve time or nothing was recorded.
 func renderReports(t *testing.T, sink *ReportSink) string {
 	t.Helper()
 	var b strings.Builder
-	reports := sink.Drain()
-	if len(reports) == 0 {
-		t.Fatal("no reports drained")
+	if err := sink.Render(&b); err != nil {
+		t.Error(err)
 	}
-	for _, rr := range reports {
-		if !rr.Report.Conserved() {
-			t.Errorf("run %s: attribution not conserved (residual %v)", rr.Key, rr.Report.MaxResidual)
-		}
-		fmt.Fprintf(&b, "== report: %s ==\n", rr.Key)
-		if err := rr.Report.RenderText(&b); err != nil {
-			t.Fatal(err)
-		}
-		b.WriteString("\n")
+	if b.Len() == 0 {
+		t.Fatal("no reports drained")
 	}
 	return b.String()
 }
@@ -66,5 +57,38 @@ func TestReportGoldenAndParallel(t *testing.T) {
 	if serial != string(want) {
 		t.Errorf("reports drifted from %s:\n--- want ---\n%s\n--- got ---\n%s\n(if intended, rerun with -update)",
 			path, want, serial)
+	}
+}
+
+// TestMultitenantReports pins that -report reaches the shared-cluster
+// cells: the quick sweep records one report per tenant mix as well as one
+// per solo baseline, each conserving time, and tracing leaves the table as
+// the golden has it.
+func TestMultitenantReports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("traces the quick multitenant sweep; skipped with -short")
+	}
+	sink := &ReportSink{}
+	got := renderResult(Multitenant(Opts{Quick: true, Parallel: 1, Log: io.Discard, Reports: sink}))
+	want, err := os.ReadFile(filepath.Join("testdata", "multitenant_quick.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("tracing changed the table:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+	reports := sink.Drain()
+	mixes := 0
+	for _, rr := range reports {
+		if !rr.Report.Conserved() {
+			t.Errorf("run %s: attribution not conserved (residual %v)", rr.Key, rr.Report.MaxResidual)
+		}
+		if strings.Contains(rr.Key, "|tenancy=") {
+			mixes++
+		}
+	}
+	if len(reports) != 16 || mixes != 10 {
+		t.Errorf("%d reports, %d of them tenant mixes; want 16: the 10 shared-cluster cells and 6 solo baselines",
+			len(reports), mixes)
 	}
 }

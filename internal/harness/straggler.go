@@ -34,12 +34,10 @@ func stragglerProg(quick bool) workloads.Demo {
 // every severity (liveness under degradation, not just performance).
 func Straggler(o Opts) *Result {
 	res := &Result{
-		ID:    "straggler",
 		Title: "Straggler tolerance: one data server degraded, demo workload",
 		Table: &metrics.Table{Header: []string{
 			"severity", "vanilla_s", "vanilla_slowdown", "dualpar_s", "dualpar_slowdown"}},
 	}
-	o = o.forSweep()
 	severities := []float64{1, 2, 5, 10}
 	if o.Quick {
 		severities = []float64{1, 10}
@@ -47,43 +45,36 @@ func Straggler(o Opts) *Result {
 	prog := stragglerProg(o.Quick)
 	res.note("one server's disk degraded for the whole run; fault layer + retry watchdogs on in every cell (severity 1 = healthy baseline)")
 
-	// One cell per (severity, mode); DNF notes are collected per cell and
-	// appended in canonical order after the sweep.
+	// One cell per (severity, mode): cell i is severities[i/2] under
+	// modes[i%2]. DNF notes are collected per cell and appended in
+	// canonical order after the sweep.
 	type cellOut struct {
 		elapsed time.Duration
 		note    string
 	}
-	modes := []struct {
-		label string
-		mode  core.Mode
-	}{{"vanilla", core.ModeVanilla}, {"dualpar", core.ModeDataDriven}}
-	outs := make([]cellOut, len(severities)*len(modes))
-	var cells []Cell
-	for si, sev := range severities {
-		for mi, m := range modes {
-			slot := &outs[si*len(modes)+mi]
-			cells = append(cells, Cell{
-				Key: fmt.Sprintf("straggler/%gx/%s", sev, m.label),
-				Run: func() {
-					o.logf("straggler: severity %gx %s", sev, m.label)
-					sch := &fault.Schedule{}
-					if sev > 1 {
-						sch.Windows = []fault.Window{
-							{Kind: fault.DiskSlow, Target: 1, Factor: sev},
-						}
-					}
-					ms, _ := o.executeFaults(time.Hour, core.DefaultConfig(), sch,
-						[]runSpec{{prog: prog, mode: m.mode}})
-					if !ms[0].finished {
-						slot.note = fmt.Sprintf("severity %gx/%v DID NOT FINISH within the time budget", sev, m.mode)
-						return
-					}
-					slot.elapsed = ms[0].elapsed
-				},
-			})
+	modes := vanillaDualPar
+	var keys []string
+	for _, sev := range severities {
+		for _, m := range modes {
+			keys = append(keys, fmt.Sprintf("straggler/%gx/%s", sev, m.label))
 		}
 	}
-	runSweep(o, cells)
+	outs := sweep(o, keys, func(o Opts, i int) cellOut {
+		sev, m := severities[i/len(modes)], modes[i%len(modes)]
+		o.logf("straggler: severity %gx %s", sev, m.label)
+		sch := &fault.Schedule{}
+		if sev > 1 {
+			sch.Windows = []fault.Window{
+				{Kind: fault.DiskSlow, Target: 1, Factor: sev},
+			}
+		}
+		ms, _ := o.executeFaults(time.Hour, core.DefaultConfig(), sch,
+			[]runSpec{{prog: prog, mode: m.mode}})
+		if !ms[0].finished {
+			return cellOut{note: fmt.Sprintf("severity %gx/%v DID NOT FINISH within the time budget", sev, m.mode)}
+		}
+		return cellOut{elapsed: ms[0].elapsed}
+	})
 	for _, out := range outs {
 		if out.note != "" {
 			res.note("%s", out.note)

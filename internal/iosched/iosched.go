@@ -230,7 +230,6 @@ func (d *Dispatcher) loop(p *sim.Proc) {
 			}
 			d.obs.Span(r.Obs.ID, obs.StageDisk, d.track, start, p.Now(),
 				obs.I64("lbn", r.LBN), obs.I64("sectors", r.Sectors), obs.Str("rw", rw),
-				obs.I64("queue_us", int64((start-r.arrival)/time.Microsecond)),
 				obs.I64("queue_ns", int64(start-r.arrival)),
 				obs.I64("ovh_ns", int64(bd.Overhead)), obs.I64("seek_ns", int64(bd.Seek)),
 				obs.I64("rot_ns", int64(bd.Rotation)), obs.I64("xfer_ns", int64(bd.Transfer)),

@@ -94,16 +94,10 @@ func argStr(s obs.Span, key string) string {
 	return ""
 }
 
-// queueDur reads a span's queue wait: queue_ns when present, else the
-// truncated legacy queue_us.
+// queueDur reads a span's queue wait from its queue_ns argument.
 func queueDur(s obs.Span) time.Duration {
-	if ns, ok := argI64(s, "queue_ns"); ok {
-		return time.Duration(ns)
-	}
-	if us, ok := argI64(s, "queue_us"); ok {
-		return time.Duration(us) * time.Microsecond
-	}
-	return 0
+	ns, _ := argI64(s, "queue_ns")
+	return time.Duration(ns)
 }
 
 // childIntervals expands one child span into its phase intervals.

@@ -469,7 +469,6 @@ func (srv *Server) workerLoop(p *sim.Proc, track string) {
 			fsys.obs.Span(req.rc.ID, obs.StageServer, track, start, p.Now(),
 				obs.Str("rw", rw), obs.I64("bytes", ext.Total(req.extents)),
 				obs.I64("extents", int64(len(req.extents))),
-				obs.I64("queue_us", int64((start-req.enq)/time.Microsecond)),
 				obs.I64("queue_ns", int64(start-req.enq)))
 		}
 		req.fin = true
